@@ -187,15 +187,14 @@ class LieAlgebra:
         return json.dumps(self.to_json_obj(), indent=2, sort_keys=True) + "\n"
 
 
-def jacobi_residual(algebra: LieAlgebra) -> Scalar:
-    """Largest |cyclic Jacobi sum| over all generator triples (0 iff Lie).
+def touching_triples(algebra: LieAlgebra):
+    """Each generator triple x < y < z with a nonzero bracket among its pairs.
 
-    Only triples touching at least one nonzero bracket can contribute, so the
-    scan runs over those instead of all C(r,3) combinations.
+    Every other triple has [X_x, X_y] = [X_y, X_z] = [X_z, X_x] = 0, so the
+    Jacobi and cocycle conditions hold on it identically; walking only these
+    replaces a scan over all C(r,3) combinations.  Each triple appears once.
     """
     r = algebra.dim
-    bracket = algebra.bracket
-    worst = 0
     seen = set()
     for (i, j) in algebra.constants:
         for l in range(r):
@@ -207,18 +206,24 @@ def jacobi_residual(algebra: LieAlgebra) -> Scalar:
                 triple = (i, l, j)
             else:
                 triple = (i, j, l)
-            if triple in seen:
-                continue
-            seen.add(triple)
-            x, y, z = triple
-            acc = {}
-            for (p, q), w in (((x, y), z), ((y, z), x), ((z, x), y)):
-                for k, c in bracket(p, q):
-                    for m, d in bracket(k, w):
-                        acc[m] = acc.get(m, 0) + c * d
-            for v in acc.values():
-                if v and abs(v) > worst:
-                    worst = abs(v)
+            if triple not in seen:
+                seen.add(triple)
+                yield triple
+
+
+def jacobi_residual(algebra: LieAlgebra) -> Scalar:
+    """Largest |cyclic Jacobi sum| over all generator triples (0 iff Lie)."""
+    bracket = algebra.bracket
+    worst = 0
+    for x, y, z in touching_triples(algebra):
+        acc = {}
+        for (p, q), w in (((x, y), z), ((y, z), x), ((z, x), y)):
+            for k, c in bracket(p, q):
+                for m, d in bracket(k, w):
+                    acc[m] = acc.get(m, 0) + c * d
+        for v in acc.values():
+            if v and abs(v) > worst:
+                worst = abs(v)
     return ratio(worst)
 
 

@@ -91,8 +91,7 @@ def cmd_algebra(args) -> int:
 def cmd_h2(args) -> int:
     omega = _parse_omega(args.family, args.N, args.omega)
     report = verify_theorem(args.family, args.N, omega, representatives=True)
-    algebra = _build(args.family, args.N, omega)
-    reps = [extract_basic(algebra, rep) for rep in report.result.representatives]
+    reps = [extract_basic(report.algebra, rep) for rep in report.result.representatives]
     verdict = "MATCH" if report.dims_match else "MISMATCH"
     if args.format == "json":
         content = _json_text(
@@ -198,15 +197,7 @@ def cmd_rep(args) -> int:
         lines = [f"family {args.family} N {args.N} omega ({omega.tokens()})"]
         for i, mat in enumerate(mats):
             lines.append(f"{algebra.name(i)}:")
-            for r in range(mat.size):
-                cells = []
-                for c in range(mat.size):
-                    re, im = mat.re[r][c], mat.im[r][c]
-                    cell = format_rational(re)
-                    if im:
-                        cell += f"{'+' if im > 0 else '-'}{format_rational(abs(im))}i"
-                    cells.append(cell)
-                lines.append("  [" + ", ".join(cells) + "]")
+            lines += [f"  {row}" for row in mat.format_rows()]
         lines.append(f"representation: {'ok' if not defects else 'FAIL'}")
         lines.append(f"metric condition: {'ok' if metric_ok else 'FAIL'}")
         content = "\n".join(lines) + "\n"
@@ -288,13 +279,28 @@ def _sweep_case(case):
 
 
 def _sweep_workers() -> int:
+    """CKCOH_THREADS clamped to 1..cores; the core count when unset."""
+    cores = os.cpu_count() or 1
     env = os.environ.get("CKCOH_THREADS")
     if env:
         try:
-            return max(1, int(env))
+            return min(max(1, int(env)), cores)
         except ValueError as exc:
             raise UsageError(f"bad CKCOH_THREADS value {env!r}") from exc
-    return os.cpu_count() or 1
+    return cores
+
+
+def run_sweep(cases) -> list[dict]:
+    """`_sweep_case` on every (family, n, signs) case, results in case order.
+
+    Uses a process pool of `_sweep_workers()` processes when that and the
+    case count both exceed one.
+    """
+    workers = min(_sweep_workers(), len(cases))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(_sweep_case, cases, chunksize=8))
+    return [_sweep_case(case) for case in cases]
 
 
 def cmd_sweep(args) -> int:
@@ -316,12 +322,7 @@ def cmd_sweep(args) -> int:
         for n in range(lo, hi + 1)
         for signs in itertools.product("+-0", repeat=n)
     ]
-    workers = min(_sweep_workers(), len(cases))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_case, cases, chunksize=8))
-    else:
-        results = [_sweep_case(case) for case in cases]
+    results = run_sweep(cases)
     passed = sum(1 for r in results if r["ok"])
     if args.format == "json":
         content = _json_text(
@@ -403,7 +404,7 @@ def main(argv=None) -> int:
         return USAGE_ERROR
     try:
         return COMMANDS[args.command](args)
-    except (UsageError, ValueError, IndexError) as exc:
+    except (ValueError, IndexError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebra import LieAlgebra, jacobi_residual
+from .algebra import LieAlgebra, jacobi_residual, touching_triples
 from .cochains import OneCochain, TwoCochain, pair_count, pair_index
 from .sparse import Echelon, SparseMatrix, _integer_row, nullspace, rank, solve_many
 
@@ -98,31 +98,16 @@ def cocycle_defect(algebra: LieAlgebra, xi: TwoCochain):
     """
     if xi.dim != algebra.dim:
         raise ValueError("cochain dimension does not match the algebra")
-    r = algebra.dim
     worst = 0
-    seen = set()
-    for (i, j) in algebra.constants:
-        for l in range(r):
-            if l == i or l == j:
-                continue
-            if l < i:
-                triple = (l, i, j)
-            elif l < j:
-                triple = (i, l, j)
-            else:
-                triple = (i, j, l)
-            if triple in seen:
-                continue
-            seen.add(triple)
-            x, y, z = triple
-            s = 0
-            for (p, q), w in (((x, y), z), ((y, z), x), ((z, x), y)):
-                for k, c in algebra.bracket(p, q):
-                    v = xi.get(k, w)
-                    if v:
-                        s += c * v
-            if s and abs(s) > worst:
-                worst = abs(s)
+    for x, y, z in touching_triples(algebra):
+        s = 0
+        for (p, q), w in (((x, y), z), ((y, z), x), ((z, x), y)):
+            for k, c in algebra.bracket(p, q):
+                v = xi.get(k, w)
+                if v:
+                    s += c * v
+        if s and abs(s) > worst:
+            worst = abs(s)
     return worst
 
 
@@ -213,14 +198,7 @@ def is_coboundary(
     distinctly from "cocycle but not a coboundary").  Free coordinates of mu
     are set to zero.
     """
-    if not assume_cocycle and cocycle_defect(algebra, xi) != 0:
-        raise NotACocycleError("the cochain is not a two-cocycle")
-    matrix = coboundary_matrix(algebra)
-    rhs = {pair_index(algebra.dim, i, j): v for (i, j), v in xi.entries.items()}
-    solution = solve_many(matrix, [rhs])[0]
-    if solution is None:
-        return None
-    return OneCochain(algebra.dim, solution)
+    return are_coboundaries(algebra, [xi], assume_cocycle)[0]
 
 
 def are_coboundaries(algebra: LieAlgebra, cochains, assume_cocycle: bool = False):
@@ -230,11 +208,7 @@ def are_coboundaries(algebra: LieAlgebra, cochains, assume_cocycle: bool = False
             if cocycle_defect(algebra, xi) != 0:
                 raise NotACocycleError("a cochain is not a two-cocycle")
     matrix = coboundary_matrix(algebra)
-    rhs_list = [
-        {pair_index(algebra.dim, i, j): v for (i, j), v in xi.entries.items()}
-        for xi in cochains
-    ]
     out = []
-    for sol in solve_many(matrix, rhs_list):
+    for sol in solve_many(matrix, [xi.to_vector() for xi in cochains]):
         out.append(None if sol is None else OneCochain(algebra.dim, sol))
     return out

@@ -28,6 +28,7 @@ from .algebra import LieAlgebra, build_su_omega, build_u_omega
 from .cochains import OneCochain, TwoCochain
 from .cohomology import (
     CohomologyResult,
+    NotACocycleError,
     are_coboundaries,
     central_extension,
     cocycle_defect,
@@ -46,11 +47,7 @@ class EngineInvariantError(RuntimeError):
     """A derived cocycle relation failed: an engine bug, not a user error."""
 
 
-class NotACocycle(ValueError):
-    pass
-
-
-def _clean(table, label) -> dict:
+def _clean(table) -> dict:
     out = {}
     for key, v in (table or {}).items():
         v = ratio(v)
@@ -70,11 +67,11 @@ class BasicCoefficients:
     gamma: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "eta", _clean(self.eta, "eta"))
-        object.__setattr__(self, "tau", _clean(self.tau, "tau"))
-        object.__setattr__(self, "alpha", _clean(self.alpha, "alpha"))
-        object.__setattr__(self, "beta", _clean(self.beta, "beta"))
-        object.__setattr__(self, "gamma", _clean(self.gamma, "gamma"))
+        object.__setattr__(self, "eta", _clean(self.eta))
+        object.__setattr__(self, "tau", _clean(self.tau))
+        object.__setattr__(self, "alpha", _clean(self.alpha))
+        object.__setattr__(self, "beta", _clean(self.beta))
+        object.__setattr__(self, "gamma", _clean(self.gamma))
 
     def validate(self, family: str, omega: OmegaVector):
         """Index ranges plus the Type III constraints; raises on violation."""
@@ -276,18 +273,6 @@ def extension_cocycle(family: str, N: int, omega, coeffs: BasicCoefficients) -> 
     return TwoCochain(basis.dim, entries)
 
 
-def alpha_cocycle(family: str, N: int, omega, k: int) -> TwoCochain:
-    return extension_cocycle(family, N, omega, BasicCoefficients(alpha={k: 1}))
-
-
-def beta_cocycle(family: str, N: int, omega, k: int, l: int) -> TwoCochain:
-    return extension_cocycle(family, N, omega, BasicCoefficients(beta={(k, l): 1}))
-
-
-def gamma_cocycle(N: int, omega, k: int) -> TwoCochain:
-    return extension_cocycle("u", N, omega, BasicCoefficients(gamma={k: 1}))
-
-
 def build_extended(family: str, N: int, omega, coeffs: BasicCoefficients) -> LieAlgebra:
     """The centrally extended algebra on r+1 generators (constraints checked)."""
     if not isinstance(omega, OmegaVector):
@@ -409,7 +394,7 @@ def extract_basic(algebra: LieAlgebra, xi: TwoCochain) -> BasicCoefficients:
     """
     basis = algebra.ck_basis()
     if cocycle_defect(algebra, xi) != 0:
-        raise NotACocycle("the cochain is not a two-cocycle of this algebra")
+        raise NotACocycleError("the cochain is not a two-cocycle of this algebra")
     violations = appendix_violations(algebra, xi)
     if violations:
         detail = "; ".join(violations[:5])
@@ -545,6 +530,7 @@ class TheoremReport:
     result: CohomologyResult
     formula: int
     cocycle_checks: tuple
+    algebra: LieAlgebra
 
     @property
     def dims_match(self) -> bool:
@@ -571,25 +557,23 @@ def verify_theorem(
     build = build_su_omega if family == "su" else build_u_omega
     algebra = build(N, omega)
     result = h2(algebra, representatives=representatives, check=False)
-    cocycles = []
-    labels = []
-    expect_trivial = []
-    for k in range(1, N + 1):
-        cocycles.append(alpha_cocycle(family, N, omega, k))
-        labels.append(f"α_{k}")
-        expect_trivial.append(omega.omega(k) != 0)
-    for k, l in cls.type3_beta_allowed:
-        cocycles.append(beta_cocycle(family, N, omega, k, l))
-        labels.append(f"β_{k}{l}")
-        expect_trivial.append(False)
-    for k in cls.type3_gamma_allowed:
-        cocycles.append(gamma_cocycle(N, omega, k))
-        labels.append(f"γ_{k}")
-        expect_trivial.append(False)
+    canonical = [
+        (f"α_{k}", BasicCoefficients(alpha={k: 1}), omega.omega(k) != 0)
+        for k in range(1, N + 1)
+    ]
+    canonical += [
+        (f"β_{k}{l}", BasicCoefficients(beta={(k, l): 1}), False)
+        for k, l in cls.type3_beta_allowed
+    ]
+    canonical += [
+        (f"γ_{k}", BasicCoefficients(gamma={k: 1}), False)
+        for k in cls.type3_gamma_allowed
+    ]
+    cocycles = [extension_cocycle(family, N, omega, coeffs) for _, coeffs, _ in canonical]
     answers = are_coboundaries(algebra, cocycles, assume_cocycle=True)
     checks = tuple(
         CocycleCheck(label, want, mu is not None)
-        for label, want, mu in zip(labels, expect_trivial, answers)
+        for (label, _, want), mu in zip(canonical, answers)
     )
     return TheoremReport(
         family=family,
@@ -597,6 +581,7 @@ def verify_theorem(
         result=result,
         formula=cls.dim_h2_formula,
         cocycle_checks=checks,
+        algebra=algebra,
     )
 
 

@@ -107,10 +107,6 @@ class OmegaVector:
         return ",".join(format_rational(v) for v in self.values)
 
 
-def omega_product(omega: OmegaVector, a: int, b: int) -> Scalar:
-    return omega.product(a, b)
-
-
 def sign_vectors(n: int):
     """All {+1, 0, -1}^n vectors as OmegaVectors, lexicographic in (1, 0, -1)."""
     if n == 0:

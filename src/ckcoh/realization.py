@@ -46,17 +46,20 @@ class ComplexMatrix:
         )
 
     def __repr__(self):
-        def fmt(a, b):
-            s = format_rational(a)
-            if b:
-                s += f"{'+' if b > 0 else '-'}{format_rational(abs(b))}i"
-            return s
+        return "ComplexMatrix([" + ", ".join(self.format_rows()) + "])"
 
-        rows = [
-            "[" + ", ".join(fmt(self.re[r][c], self.im[r][c]) for c in range(self.size)) + "]"
-            for r in range(self.size)
-        ]
-        return "ComplexMatrix([" + ", ".join(rows) + "])"
+    def format_rows(self) -> list[str]:
+        """One `[a, b+ci, c-di, ...]` string per row, entries exact."""
+        rows = []
+        for re_row, im_row in zip(self.re, self.im):
+            cells = []
+            for re, im in zip(re_row, im_row):
+                cell = format_rational(re)
+                if im:
+                    cell += f"{'+' if im > 0 else '-'}{format_rational(abs(im))}i"
+                cells.append(cell)
+            rows.append("[" + ", ".join(cells) + "]")
+        return rows
 
     def is_zero(self) -> bool:
         return all(not v for row in self.re for v in row) and all(

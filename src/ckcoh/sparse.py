@@ -30,16 +30,12 @@ class SparseMatrix:
 
     __slots__ = ("rows", "cols", "data")
 
-    def __init__(self, rows: int, cols: int, data=None):
+    def __init__(self, rows: int, cols: int):
         if rows < 0 or cols < 0:
             raise ValueError("negative matrix shape")
         self.rows = rows
         self.cols = cols
         self.data = [{} for _ in range(rows)]
-        if data is not None:
-            for r, row in enumerate(data):
-                for c, v in row.items():
-                    self.set(r, c, v)
 
     @classmethod
     def from_entries(cls, rows: int, cols: int, entries) -> "SparseMatrix":
@@ -284,22 +280,7 @@ def nullspace(matrix: SparseMatrix) -> list[dict]:
     for free in range(matrix.cols):
         if free in ech.pivot_cols:
             continue
-        x = ech.back_substitute({free: Fraction(1)})
-        scale = 1
-        for v in x.values():
-            if isinstance(v, Fraction):
-                scale = lcm(scale, v.denominator)
-        vec = {}
-        g = 0
-        for c, v in x.items():
-            iv = int(v * scale)
-            if iv:
-                vec[c] = iv
-                g = gcd(g, iv)
-        if g > 1:
-            for c in vec:
-                vec[c] //= g
-        basis.append(vec)
+        basis.append(_integer_row(ech.back_substitute({free: Fraction(1)})))
     return basis
 
 

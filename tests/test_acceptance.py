@@ -7,14 +7,13 @@ exact rational brackets); there are no tolerances anywhere.
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
 from ckcoh.algebra import build_su_omega, build_u_omega
-from ckcoh.cli import _sweep_case
+from ckcoh.cli import run_sweep
 from ckcoh.cochains import TwoCochain
 from ckcoh.cohomology import (
     are_coboundaries,
@@ -24,9 +23,9 @@ from ckcoh.cohomology import (
 )
 from ckcoh.extensions import (
     BasicCoefficients,
-    alpha_cocycle,
     appendix_violations,
     build_extended,
+    extension_cocycle,
     format_table,
     table_rows,
     trivializing_cochain,
@@ -66,12 +65,7 @@ def sweep():
         for signs in product("+-0", repeat=n)
     ]
     start = time.time()
-    workers = os.cpu_count() or 1
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_case, cases, chunksize=8))
-    else:
-        results = [_sweep_case(case) for case in cases]
+    results = run_sweep(cases)
     elapsed = time.time() - start
     table = {(r["family"], r["n"], r["omega"]): r for r in results}
     table["_elapsed"] = elapsed
@@ -160,7 +154,10 @@ def test_criterion_07_triviality_mechanics():
         for n in range(1, 5):
             for om in sign_vectors(n):
                 g = build(n, om)
-                cocycles = [alpha_cocycle(family, n, om, k) for k in range(1, n + 1)]
+                cocycles = [
+                    extension_cocycle(family, n, om, BasicCoefficients(alpha={k: 1}))
+                    for k in range(1, n + 1)
+                ]
                 answers = are_coboundaries(g, cocycles, assume_cocycle=True)
                 for k, (xi, mu) in enumerate(zip(cocycles, answers), start=1):
                     if om.omega(k) == 0:

@@ -1,10 +1,20 @@
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from ckcoh.algebra import LieAlgebra, build_su_omega, build_u_omega, jacobi_residual
+from ckcoh.algebra import (
+    LieAlgebra,
+    build_su_omega,
+    build_u_omega,
+    jacobi_residual,
+    touching_triples,
+)
 from ckcoh.generators import CKBasis, delta_selector
-from ckcoh.omega import OmegaVector
+from ckcoh.omega import OmegaVector, sign_vectors
+
+from random_algebras import random_algebra
 
 
 def test_su2_dimension_and_brackets():
@@ -170,3 +180,26 @@ def test_permuted_relabelling_keeps_jacobi():
     p = g.permuted(perm)
     assert jacobi_residual(p) == 0
     assert p != g  # genuinely relabelled
+
+
+def _brute_touching(g):
+    return {
+        t
+        for t in combinations(range(g.dim), 3)
+        if any(g.bracket(p, q) for p, q in combinations(t, 2))
+    }
+
+
+def test_touching_triples_match_brute_force_filter():
+    algebras = [
+        build(n, om)
+        for build in (build_su_omega, build_u_omega)
+        for n in range(1, 4)
+        for om in sign_vectors(n)
+    ]
+    rng = random.Random(7)
+    algebras += [random_algebra(rng, max_dim=8) for _ in range(20)]
+    for g in algebras:
+        walked = list(touching_triples(g))
+        assert len(walked) == len(set(walked))
+        assert set(walked) == _brute_touching(g)

@@ -3,8 +3,12 @@ import os
 
 import pytest
 
+import ckcoh.cli
+import ckcoh.extensions
 from ckcoh.algebra import LieAlgebra
-from ckcoh.cli import main
+from ckcoh.cli import _sweep_workers, main
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def run_cli(capsys, *argv):
@@ -182,3 +186,37 @@ def test_out_file_matches_stdout(capsys, tmp_path, monkeypatch):
 def test_negative_n_rejected(capsys):
     code, _, err = run_cli(capsys, "h2", "su", "-2", "+,+")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (("h2", "u", "3", "0,0,0", "--format", "json"), "h2_u_3_000.json"),
+        (("h2", "su", "3", "0,+,0"), "h2_su_3_0p0.txt"),
+    ],
+)
+def test_h2_small_n_golden_bytes(capsys, argv, golden):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    with open(os.path.join(DATA, golden), "rb") as handle:
+        assert out.encode("utf-8") == handle.read()
+
+
+def test_h2_builds_the_algebra_once(capsys, monkeypatch):
+    original = ckcoh.extensions.build_su_omega
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ckcoh.extensions, "build_su_omega", counting)
+    monkeypatch.setattr(ckcoh.cli, "build_su_omega", counting)
+    code, _, _ = run_cli(capsys, "h2", "su", "3", "0,+,0")
+    assert code == 0
+    assert len(calls) == 1
+
+
+def test_sweep_workers_capped_at_core_count(monkeypatch):
+    monkeypatch.setenv("CKCOH_THREADS", "10000")
+    assert 1 <= _sweep_workers() <= (os.cpu_count() or 1)

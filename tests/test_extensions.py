@@ -4,14 +4,11 @@ import pytest
 
 from ckcoh.algebra import build_su_omega, build_u_omega, jacobi_residual
 from ckcoh.cochains import OneCochain, TwoCochain
-from ckcoh.cohomology import central_extension, delta, is_coboundary
+from ckcoh.cohomology import NotACocycleError, central_extension, delta, is_coboundary
 from ckcoh.extensions import (
     BasicCoefficients,
     ConstraintViolation,
-    NotACocycle,
-    alpha_cocycle,
     appendix_violations,
-    beta_cocycle,
     build_extended,
     classify,
     contract,
@@ -19,7 +16,6 @@ from ckcoh.extensions import (
     extension_cocycle,
     extract_basic,
     format_table,
-    gamma_cocycle,
     table_rows,
     trivializing_cochain,
     verify_theorem,
@@ -153,14 +149,14 @@ def test_extract_basic_on_sigma_coboundary():
 
 def test_extract_basic_rejects_non_cocycle():
     g = build_su_omega(2, [1, 1])
-    with pytest.raises(NotACocycle):
+    with pytest.raises(NotACocycleError):
         extract_basic(g, TwoCochain(8, {(0, 1): 1}))
 
 
 def test_appendix_violations_flag_corrupted_cocycle():
     om = OmegaVector([0, 1])
     g = build_su_omega(2, om)
-    xi = alpha_cocycle("su", 2, om, 1)
+    xi = extension_cocycle("su", 2, om, BasicCoefficients(alpha={1: 1}))
     assert appendix_violations(g, xi) == []
     basis = CKBasis(2, "su")
     # corrupt a four-index-style slot: (J01, B-column outside the quad) has no
@@ -175,12 +171,12 @@ def test_canonical_cocycles_follow_classification():
     for fam, build in (("su", build_su_omega), ("u", build_u_omega)):
         g = build(3, om)
         for k in (1, 2, 3):
-            xi = alpha_cocycle(fam, 3, om, k)
+            xi = extension_cocycle(fam, 3, om, BasicCoefficients(alpha={k: 1}))
             mu = is_coboundary(g, xi)
             assert (mu is None) == (om.omega(k) == 0)
-        xi = beta_cocycle(fam, 3, om, 1, 3)
+        xi = extension_cocycle(fam, 3, om, BasicCoefficients(beta={(1, 3): 1}))
         assert is_coboundary(g, xi) is None
-    xi = gamma_cocycle(3, om, 3)
+    xi = extension_cocycle("u", 3, om, BasicCoefficients(gamma={3: 1}))
     assert is_coboundary(build_u_omega(3, om), xi) is None
 
 

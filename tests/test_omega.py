@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from ckcoh.omega import OmegaVector, omega_product, sign_vectors
+from ckcoh.omega import OmegaVector, sign_vectors
 from ckcoh.rationals import format_rational, parse_rational, ratio
 
 
@@ -56,11 +56,6 @@ def test_adjacent_product_is_omega_k():
     om = OmegaVector([Fraction(2, 3), -5, 0])
     for k in range(1, 4):
         assert om.product(k - 1, k) == om.omega(k)
-
-
-def test_module_level_wrapper():
-    om = OmegaVector([2, 3])
-    assert omega_product(om, 0, 2) == 6
 
 
 def test_parse_signs_and_rationals():
