@@ -5,8 +5,11 @@
     ckcoh classify <family> <N> <omega>        formula-level classification (no solver)
     ckcoh rep      <family> <N> <omega>        fundamental matrices + fidelity checks
     ckcoh contract <family> <N> <omega> <k>    contraction transition report
-    ckcoh table    <family> <N> [--golden P]   extension table, one row per sign vector
+    ckcoh table    <family> <N> [--golden P] [--force]
+                                               extension table, one row per sign vector
     ckcoh sweep    <family> <N|A..B> [--force] solver-vs-formula over all sign vectors
+
+`table` refuses N > 10 (3^N rows) and `sweep` refuses N > 6 without --force.
 
 Omega lists are comma separated: signs (+, -, 0) or exact rationals (a/b).
 Exit codes: 0 success / match, 1 verification mismatch, 2 usage error.
@@ -45,6 +48,8 @@ from .rationals import format_rational
 
 USAGE_ERROR = 2
 MISMATCH = 1
+TABLE_MAX_N = 10  # `table` builds one row per sign vector, 3^N rows
+SWEEP_MAX_N = 6
 
 
 class UsageError(ValueError):
@@ -233,6 +238,11 @@ def cmd_contract(args) -> int:
 
 
 def cmd_table(args) -> int:
+    if args.N > TABLE_MAX_N and not args.force:
+        raise UsageError(
+            f"N={args.N} exceeds the default bound {TABLE_MAX_N} "
+            "(3^N rows); pass --force to override"
+        )
     rows = table_rows(args.family, args.N)
     if args.format == "json":
         content = _json_text(
@@ -315,8 +325,10 @@ def cmd_sweep(args) -> int:
         raise UsageError(f"bad N range {text!r}, expected e.g. 1..4") from exc
     if not 1 <= lo <= hi:
         raise UsageError(f"bad N range {text!r}")
-    if hi > 6 and not args.force:
-        raise UsageError(f"N={hi} exceeds the default bound 6; pass --force to override")
+    if hi > SWEEP_MAX_N and not args.force:
+        raise UsageError(
+            f"N={hi} exceeds the default bound {SWEEP_MAX_N}; pass --force to override"
+        )
     cases = [
         (args.family, n, signs)
         for n in range(lo, hi + 1)
@@ -369,19 +381,25 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_contract)
     p_contract.add_argument("k", type=int)
 
-    p_table = sub.add_parser("table", help="extension table over all sign vectors")
+    table_help = (
+        f"extension table over all sign vectors (3^N rows; N <= {TABLE_MAX_N} "
+        "without --force)"
+    )
+    p_table = sub.add_parser("table", help=table_help, description=table_help)
     p_table.add_argument("family", choices=("su", "u"))
     p_table.add_argument("N", type=int)
     p_table.add_argument("--format", choices=("text", "json"), default="text")
     p_table.add_argument("--out", default=None)
     p_table.add_argument("--golden", default=None, help="byte-compare against a golden file")
+    p_table.add_argument("--force", action="store_true", help=f"allow N > {TABLE_MAX_N}")
 
-    p_sweep = sub.add_parser("sweep", help="formula-vs-solver sweep over sign vectors")
+    sweep_help = f"formula-vs-solver sweep over sign vectors (N <= {SWEEP_MAX_N} without --force)"
+    p_sweep = sub.add_parser("sweep", help=sweep_help, description=sweep_help)
     p_sweep.add_argument("family", choices=("su", "u"))
     p_sweep.add_argument("range", help="N or A..B")
     p_sweep.add_argument("--format", choices=("text", "json"), default="text")
     p_sweep.add_argument("--out", default=None)
-    p_sweep.add_argument("--force", action="store_true", help="allow N > 6")
+    p_sweep.add_argument("--force", action="store_true", help=f"allow N > {SWEEP_MAX_N}")
     return parser
 
 

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebra import LieAlgebra, jacobi_residual, touching_triples
+from .algebra import LieAlgebra, jacobi_residual
 from .cochains import OneCochain, TwoCochain, pair_count, pair_index
+from .rationals import ratio
 from .sparse import Echelon, SparseMatrix, _integer_row, nullspace, rank, solve_many
 
 
@@ -93,22 +94,39 @@ def delta(algebra: LieAlgebra, mu: OneCochain) -> TwoCochain:
 def cocycle_defect(algebra: LieAlgebra, xi: TwoCochain):
     """Largest |violation| of the cocycle condition; 0 iff xi is a cocycle.
 
-    Evaluates the condition directly on the triples that touch a nonzero
-    bracket; all other triples are identically satisfied.
+    Entry-driven: the condition on a triple x < y < z is the sum of the
+    terms sign * C_pq^k xi(k, w) over the cyclic arrangements of the triple,
+    so each nonzero xi(a, b) (read as xi(a, b) and as xi(b, a)) meets only
+    the brackets [X_p, X_q] with a component along its first index, and adds
+    to the triple {p, q, w}.  The sign is the parity of (p, q, w) against the
+    sorted triple.  Triples that no term reaches sum to 0, so the cost
+    follows the entries of xi, not the number of triples.  The result is
+    normalised by `ratio` (an int when integral), as in `jacobi_residual`.
     """
     if xi.dim != algebra.dim:
         raise ValueError("cochain dimension does not match the algebra")
+    into = {}
+    for (p, q), entries in algebra.constants.items():
+        for k, c in entries:
+            into.setdefault(k, []).append((p, q, c))
+    sums = {}
+    for (a, b), v in xi.entries.items():
+        for k, w, value in ((a, b, v), (b, a, -v)):
+            for p, q, c in into.get(k, ()):
+                if w == p or w == q:
+                    continue
+                if w < p:
+                    triple, term = (w, p, q), c * value
+                elif w < q:
+                    triple, term = (p, w, q), -c * value
+                else:
+                    triple, term = (p, q, w), c * value
+                sums[triple] = sums.get(triple, 0) + term
     worst = 0
-    for x, y, z in touching_triples(algebra):
-        s = 0
-        for (p, q), w in (((x, y), z), ((y, z), x), ((z, x), y)):
-            for k, c in algebra.bracket(p, q):
-                v = xi.get(k, w)
-                if v:
-                    s += c * v
+    for s in sums.values():
         if s and abs(s) > worst:
             worst = abs(s)
-    return worst
+    return ratio(worst)
 
 
 def is_cocycle(algebra: LieAlgebra, xi: TwoCochain) -> bool:

@@ -90,12 +90,18 @@ class OmegaVector:
 
     @classmethod
     def parse(cls, text: str) -> "OmegaVector":
-        """Parse a comma-separated list of signs (+, -, 0) or rationals."""
-        tokens = [t.strip() for t in text.split(",") if t.strip()]
-        if not tokens:
+        """Parse a comma-separated list of signs (+, -, 0) or rationals.
+
+        Every entry must be non-empty: "0,,+" is an error naming entry 2,
+        not the two-entry list (0,+).
+        """
+        if not text.strip():
             raise ValueError(f"empty omega list: {text!r}")
         vals = []
-        for tok in tokens:
+        for position, tok in enumerate(text.split(","), start=1):
+            tok = tok.strip()
+            if not tok:
+                raise ValueError(f"empty omega entry at position {position} in {text!r}")
             if tok in SIGN_VALUES:
                 vals.append(SIGN_VALUES[tok])
             else:

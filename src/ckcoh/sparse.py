@@ -12,12 +12,22 @@ a gcd strip, so entries never leave Z and never blow up through denominators
 
 Both regimes share the same echelon structure, kernel back-substitution and
 solver, and both are deterministic functions of the input matrix.
+
+Every pivot row is reduced against all earlier pivots before it is inserted,
+so pivot row k holds no pivot column of a pivot created before k.  On that
+invariant the echelon keeps two indexes instead of scanning its pivots:
+`pivot_cols` (pivot column -> creation index) drives elimination, which
+applies only the pivots a row reaches, in creation order; `uses` (column ->
+pivot rows holding it) drives back-substitution, which visits only the
+pivots whose solved value can be nonzero, in reverse creation order.  Both
+perform the same operations in the same order as a walk over every pivot.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 from .rationals import format_rational, parse_rational, ratio
@@ -150,12 +160,31 @@ def _strip_gcd(row: dict):
 
 
 class Echelon:
-    """Incremental fraction-free row echelon of integer dict rows."""
+    """Incremental fraction-free row echelon of integer dict rows.
+
+    `pivots` holds (pivot_col, row_dict) in creation order; pivot k is the
+    k-th row inserted.  Rows are inserted only after `reduce`, so pivot row k
+    holds no pivot column of any pivot created before k.  Two indexes rest on
+    that invariant:
+
+      * `pivot_cols`: pivot column -> creation index.  `reduce` applies only
+        the pivots whose columns the row holds, popped from a min-heap in
+        creation order; a pivot row only brings in columns of later pivots.
+      * `uses`: column -> creation indices (ascending) of the pivot rows that
+        hold it, the row's own pivot column left out.  `back_substitute`
+        visits only the pivots that hold a column with a nonzero value,
+        popped from a max-heap in reverse creation order.
+
+    Both walks apply the same pivots, in the same order and with the same
+    arithmetic, as a scan over every pivot; the pivots they skip would change
+    nothing.
+    """
 
     def __init__(self, cols: int, col_weight=None):
         self.cols = cols
         self.pivots = []  # (pivot_col, row_dict) in creation order
-        self.pivot_cols = set()
+        self.pivot_cols = {}  # pivot_col -> creation index
+        self.uses = {}  # col -> creation indices of the pivot rows holding it
         self.col_weight = col_weight  # None -> lexicographic pivot choice
 
     @property
@@ -165,7 +194,17 @@ class Echelon:
     def reduce(self, row: dict) -> dict:
         """Eliminate every pivot column from a copy of the row."""
         row = dict(row)
-        for col, prow in self.pivots:
+        pivots = self.pivots
+        pivot_cols = self.pivot_cols
+        heap = [pivot_cols[c] for c in row if c in pivot_cols]
+        heapify(heap)
+        last = -1
+        while heap:
+            k = heappop(heap)
+            if k == last:
+                continue
+            last = k
+            col, prow = pivots[k]
             v = row.get(col)
             if not v:
                 continue
@@ -178,11 +217,20 @@ class Echelon:
                 for c in row:
                     row[c] *= a
             for c, w in prow.items():
-                nv = row.get(c, 0) - b * w
+                old = row.get(c)
+                if old is None:
+                    nv = -b * w
+                    if nv:
+                        row[c] = nv
+                        later = pivot_cols.get(c)
+                        if later is not None:
+                            heappush(heap, later)
+                    continue
+                nv = old - b * w
                 if nv:
                     row[c] = nv
                 else:
-                    row.pop(c, None)
+                    del row[c]
             _strip_gcd(row)
         return row
 
@@ -201,8 +249,16 @@ class Echelon:
         if reduced[col] < 0:
             for c in reduced:
                 reduced[c] = -reduced[c]
+        k = len(self.pivots)
         self.pivots.append((col, reduced))
-        self.pivot_cols.add(col)
+        self.pivot_cols[col] = k
+        uses = self.uses
+        for c in reduced:
+            if c != col:
+                if c in uses:
+                    uses[c].append(k)
+                else:
+                    uses[c] = [k]
         return True
 
     def absorb(self, row: dict) -> bool:
@@ -211,12 +267,26 @@ class Echelon:
     def back_substitute(self, assignment: dict, aug: int | None = None) -> dict:
         """Complete an assignment of the free columns over the echelon.
 
-        Solves row . x = row[aug] (or 0) for each pivot column, walking the
-        pivots in reverse creation order; `assignment` maps free columns to
-        exact values and is not modified.
+        Solves row . x = row[aug] (or 0) for each pivot column, in reverse
+        creation order; `assignment` maps free columns to exact values and is
+        not modified.  Only pivots that hold `aug` or a column already given
+        a nonzero value are visited: for every other pivot the solved value
+        would be 0, which is left unset.
         """
         x = dict(assignment)
-        for col, prow in reversed(self.pivots):
+        pivots = self.pivots
+        uses = self.uses
+        heap = [-k for c, v in x.items() if v for k in uses.get(c, ())]
+        if aug is not None:
+            heap += [-k for k in uses.get(aug, ())]
+        heapify(heap)
+        last = -1
+        while heap:
+            k = -heappop(heap)
+            if k == last:
+                continue
+            last = k
+            col, prow = pivots[k]
             s = Fraction(prow.get(aug, 0)) if aug is not None else Fraction(0)
             for c, v in prow.items():
                 if c == col or c == aug:
@@ -226,6 +296,8 @@ class Echelon:
                     s -= v * xc
             if s:
                 x[col] = s / prow[col]
+                for j in uses.get(col, ()):
+                    heappush(heap, -j)
         return x
 
 

@@ -202,6 +202,45 @@ def test_h2_small_n_golden_bytes(capsys, argv, golden):
         assert out.encode("utf-8") == handle.read()
 
 
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (("h2", "su", "6", "0,0,0,0,0,0", "--format", "json"), "h2_su_6_000000.json"),
+        (("h2", "u", "6", "0,-1/2,0,0,3,0", "--format", "json"), "h2_u_6_0h003r0.json"),
+        (("h2", "u", "6", "--", "-2/3,1,-1,5/2,1,-3"), "h2_u_6_rational.txt"),
+    ],
+)
+def test_h2_n6_golden_bytes(capsys, argv, golden):
+    # N = 6 systems have >= 200 columns, so these reach the Markowitz regime
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    with open(os.path.join(DATA, golden), "rb") as handle:
+        assert out.encode("utf-8") == handle.read()
+
+
+def test_empty_omega_entry_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "h2", "su", "3", "0,,+,0")
+    assert code == 2 and out == ""
+    assert "position 2" in err
+
+
+def test_table_refuses_large_n_without_building(capsys, monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("table rows built past the bound")
+
+    monkeypatch.setattr(ckcoh.cli, "table_rows", forbidden)
+    code, out, err = run_cli(capsys, "table", "su", "11")
+    assert code == 2 and out == ""
+    assert "force" in err and "10" in err
+
+
+def test_table_force_lifts_the_bound(capsys, monkeypatch):
+    seen = []
+    monkeypatch.setattr(ckcoh.cli, "table_rows", lambda family, n: seen.append(n) or [])
+    code, _, _ = run_cli(capsys, "table", "u", "11", "--force")
+    assert code == 0 and seen == [11]
+
+
 def test_h2_builds_the_algebra_once(capsys, monkeypatch):
     original = ckcoh.extensions.build_su_omega
     calls = []

@@ -70,6 +70,21 @@ def test_parse_signs_and_rationals():
         OmegaVector.parse("x,y")
 
 
+@pytest.mark.parametrize(
+    "text, position",
+    [("0,,+", 2), ("1,1,", 3), ("1, ,1", 2), (",1", 1), ("+,-,0,,", 4)],
+)
+def test_parse_rejects_empty_entries(text, position):
+    with pytest.raises(ValueError, match=f"position {position}"):
+        OmegaVector.parse(text)
+
+
+def test_parse_keeps_whitespace_around_entries():
+    assert OmegaVector.parse(" 0 , + ,-1/2 ").values == (0, 1, Fraction(-1, 2))
+    with pytest.raises(ValueError, match="empty omega list"):
+        OmegaVector.parse("  ")
+
+
 def test_zero_set_and_contracted():
     om = OmegaVector([1, 0, -1])
     assert om.zero_set == (2,)
