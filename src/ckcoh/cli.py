@@ -386,19 +386,15 @@ def build_parser() -> argparse.ArgumentParser:
         "without --force)"
     )
     p_table = sub.add_parser("table", help=table_help, description=table_help)
-    p_table.add_argument("family", choices=("su", "u"))
+    _add_common(p_table, omega=False)
     p_table.add_argument("N", type=int)
-    p_table.add_argument("--format", choices=("text", "json"), default="text")
-    p_table.add_argument("--out", default=None)
     p_table.add_argument("--golden", default=None, help="byte-compare against a golden file")
     p_table.add_argument("--force", action="store_true", help=f"allow N > {TABLE_MAX_N}")
 
     sweep_help = f"formula-vs-solver sweep over sign vectors (N <= {SWEEP_MAX_N} without --force)"
     p_sweep = sub.add_parser("sweep", help=sweep_help, description=sweep_help)
-    p_sweep.add_argument("family", choices=("su", "u"))
+    _add_common(p_sweep, omega=False)
     p_sweep.add_argument("range", help="N or A..B")
-    p_sweep.add_argument("--format", choices=("text", "json"), default="text")
-    p_sweep.add_argument("--out", default=None)
     p_sweep.add_argument("--force", action="store_true", help=f"allow N > {SWEEP_MAX_N}")
     return parser
 

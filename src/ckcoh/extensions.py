@@ -12,10 +12,11 @@ Counting over a vector with n vanishing constants gives the closed formulas
 
   dim H2(su_omega(N+1)) = n(n+1)/2      dim H2(u_omega(N+1)) = n(n+3)/2.
 
-The module also extracts basic coefficients from arbitrary cocycles and
-re-verifies, coefficient by coefficient, the derived relations that make the
-extraction well defined (four-index values vanish, B-column values collapse,
-eta/tau readings agree, the alpha recursion, the omega-scaled patterns).
+The module also reads the basic coefficients off an arbitrary cocycle and
+checks the reading by rebuilding: the cocycle those coefficients set
+(`extension_cocycle`) must equal the input entry for entry, which is every
+derived relation of the paper at once (four-index values vanish, B-column
+values collapse, the alpha recursion, the omega-scaled patterns).
 """
 
 from __future__ import annotations
@@ -282,125 +283,15 @@ def build_extended(family: str, N: int, omega, coeffs: BasicCoefficients) -> Lie
     return central_extension(base, extension_cocycle(family, N, omega, coeffs))
 
 
-def appendix_violations(algebra: LieAlgebra, xi: TwoCochain) -> list[str]:
-    """Every derived relation a cocycle of a CK algebra must satisfy.
+def _read_basic(algebra: LieAlgebra, xi: TwoCochain) -> BasicCoefficients:
+    """The canonical readings of the basic coefficients off a cochain.
 
-    Returns human-readable descriptions of violated relations (empty for a
-    genuine cocycle).  All comparisons are exact.
+    eta_ac = -xi(J_{a,a+1}, J_{a+1,c}) and tau_ac = -xi(J_{a,a+1}, M_{a+1,c})
+    (the adjacent c = a+1 slots come from the B-bracket column),
+    alpha_k = xi(J_{k-1,k}, M_{k-1,k}), beta_kl = xi(B_k, B_l),
+    gamma_k = xi(B_k, I).  Nothing is checked here.
     """
     basis = algebra.ck_basis()
-    omega = algebra.omega
-    if xi.dim != algebra.dim:
-        raise ValueError("cochain dimension does not match the algebra")
-    N = basis.N
-    w = omega.product
-    j, m, b = basis.j, basis.m, basis.b
-    get = xi.get
-    bad = []
-
-    def expect(value, want, what):
-        if value != want:
-            bad.append(f"{what}: got {value}, expected {want}")
-
-    # four-index coefficients vanish
-    pairs = list(basis.index_pairs())
-    for (a, bb), (d, e) in itertools.combinations(pairs, 2):
-        if {a, bb} & {d, e}:
-            continue
-        expect(get(j(a, bb), j(d, e)), 0, f"xi(J{a}{bb},J{d}{e})")
-        expect(get(m(a, bb), m(d, e)), 0, f"xi(M{a}{bb},M{d}{e})")
-        expect(get(j(a, bb), m(d, e)), 0, f"xi(J{a}{bb},M{d}{e})")
-        expect(get(j(d, e), m(a, bb)), 0, f"xi(J{d}{e},M{a}{bb})")
-
-    # B-column collapse: reference eta/tau from the l = a+1 slot
-    eta_ref, tau_ref = {}, {}
-    for a, bb in pairs:
-        sel = delta_selector(a, bb, a + 1)
-        tau_ref[(a, bb)] = ratio(Fraction(get(j(a, bb), b(a + 1)), sel))
-        eta_ref[(a, bb)] = ratio(Fraction(get(m(a, bb), b(a + 1)), -sel))
-        for l in range(1, N + 1):
-            sel = delta_selector(a, bb, l)
-            if sel == 0:
-                expect(get(j(a, bb), b(l)), 0, f"xi(J{a}{bb},B{l})")
-                expect(get(m(a, bb), b(l)), 0, f"xi(M{a}{bb},B{l})")
-            else:
-                expect(
-                    get(j(a, bb), b(l)),
-                    sel * tau_ref[(a, bb)],
-                    f"xi(J{a}{bb},B{l}) vs sel*tau_{a}{bb}",
-                )
-                expect(
-                    get(m(a, bb), b(l)),
-                    -sel * eta_ref[(a, bb)],
-                    f"xi(M{a}{bb},B{l}) vs -sel*eta_{a}{bb}",
-                )
-
-    # three-index patterns against the reference readings
-    for a in range(N - 1):
-        for bb in range(a + 1, N):
-            for c in range(bb + 1, N + 1):
-                w_ab, w_bc = w(a, bb), w(bb, c)
-                eta_ac, tau_ac = eta_ref[(a, c)], tau_ref[(a, c)]
-                eta_ab, tau_ab = eta_ref[(a, bb)], tau_ref[(a, bb)]
-                eta_bc, tau_bc = eta_ref[(bb, c)], tau_ref[(bb, c)]
-                expect(-get(j(a, bb), j(bb, c)), eta_ac, f"j_{a}{bb},{bb}{c}")
-                expect(get(m(a, bb), m(bb, c)), eta_ac, f"m_{a}{bb},{bb}{c}")
-                expect(-get(j(a, bb), m(bb, c)), tau_ac, f"jm_{a}{bb},{bb}{c}")
-                expect(get(j(bb, c), m(a, bb)), tau_ac, f"mj_{a}{bb},{bb}{c}")
-                expect(get(j(a, bb), j(a, c)), w_ab * eta_bc, f"j_{a}{bb},{a}{c}")
-                expect(get(m(a, bb), m(a, c)), w_ab * eta_bc, f"m_{a}{bb},{a}{c}")
-                expect(get(j(a, bb), m(a, c)), w_ab * tau_bc, f"jm_{a}{bb},{a}{c}")
-                expect(get(j(a, c), m(a, bb)), w_ab * tau_bc, f"mj_{a}{bb},{a}{c}")
-                expect(get(j(a, c), j(bb, c)), w_bc * eta_ab, f"j_{a}{c},{bb}{c}")
-                expect(get(m(a, c), m(bb, c)), w_bc * eta_ab, f"m_{a}{c},{bb}{c}")
-                expect(-get(j(a, c), m(bb, c)), w_bc * tau_ab, f"jm_{a}{c},{bb}{c}")
-                expect(-get(j(bb, c), m(a, c)), w_bc * tau_ab, f"mj_{a}{c},{bb}{c}")
-
-    # alpha recursion: jm_ac = sum_s w(a,s-1) w(s,c) alpha_s
-    alpha = {k: get(j(k - 1, k), m(k - 1, k)) for k in range(1, N + 1)}
-    for a, c in pairs:
-        want = 0
-        for s in range(a + 1, c + 1):
-            if alpha[s]:
-                want += w(a, s - 1) * w(s, c) * alpha[s]
-        expect(get(j(a, c), m(a, c)), ratio(want), f"jm_{a}{c} recursion")
-
-    # Type III constraints
-    for k in range(1, N + 1):
-        for l in range(k + 1, N + 1):
-            beta = get(b(k), b(l))
-            if omega.omega(k) * beta != 0 or omega.omega(l) * beta != 0:
-                bad.append(f"omega constraint on beta_{k}{l} = {beta}")
-
-    if algebra.family == "u":
-        iid = basis.i()
-        for a, bb in pairs:
-            expect(get(j(a, bb), iid), 0, f"xi(J{a}{bb},I)")
-            expect(get(m(a, bb), iid), 0, f"xi(M{a}{bb},I)")
-        for k in range(1, N + 1):
-            gamma = get(b(k), iid)
-            if omega.omega(k) * gamma != 0:
-                bad.append(f"omega constraint on gamma_{k} = {gamma}")
-    return bad
-
-
-def extract_basic(algebra: LieAlgebra, xi: TwoCochain) -> BasicCoefficients:
-    """Read the basic coefficients off a cocycle and re-verify every relation.
-
-    Canonical readings: eta_ac = -xi(J_{a,a+1}, J_{a+1,c}) and
-    tau_ac = -xi(J_{a,a+1}, M_{a+1,c}) (the adjacent c = a+1 slots come from
-    the B-bracket column), alpha_k = xi(J_{k-1,k}, M_{k-1,k}),
-    beta_kl = xi(B_k, B_l), gamma_k = xi(B_k, I).
-    """
-    basis = algebra.ck_basis()
-    if cocycle_defect(algebra, xi) != 0:
-        raise NotACocycleError("the cochain is not a two-cocycle of this algebra")
-    violations = appendix_violations(algebra, xi)
-    if violations:
-        detail = "; ".join(violations[:5])
-        raise EngineInvariantError(
-            f"cocycle violates {len(violations)} derived relation(s): {detail}"
-        )
     N = basis.N
     j, m, b = basis.j, basis.m, basis.b
     get = xi.get
@@ -423,6 +314,52 @@ def extract_basic(algebra: LieAlgebra, xi: TwoCochain) -> BasicCoefficients:
     if algebra.family == "u":
         gamma = {k: get(b(k), basis.i()) for k in range(1, N + 1)}
     return BasicCoefficients(eta=eta, tau=tau, alpha=alpha, beta=beta, gamma=gamma)
+
+
+def appendix_violations(algebra: LieAlgebra, xi: TwoCochain) -> list[str]:
+    """Where xi differs from the cocycle its own basic coefficients set.
+
+    `extension_cocycle` sets every pair class (J-J, M-M, J-M, J/M-B, B-B and,
+    for u, B/J/M-I), so every derived relation holds exactly when xi equals
+    the cocycle rebuilt from its readings.  One `xi(X,Y): got g, expected e`
+    line per differing pair, in pair order, or one line when a beta/gamma is
+    read where its omega is nonzero; empty for a genuine cocycle.
+    """
+    if xi.dim != algebra.dim:
+        raise ValueError("cochain dimension does not match the algebra")
+    coeffs = _read_basic(algebra, xi)
+    try:
+        rebuilt = extension_cocycle(algebra.family, algebra.omega.n, algebra.omega, coeffs)
+    except ConstraintViolation as exc:
+        return [str(exc)]
+    name = algebra.name
+    return [
+        f"xi({name(i)},{name(k)}): got {format_rational(xi.get(i, k))}, "
+        f"expected {format_rational(rebuilt.get(i, k))}"
+        for i, k in sorted((xi - rebuilt).entries)
+    ]
+
+
+def extract_basic(algebra: LieAlgebra, xi: TwoCochain) -> BasicCoefficients:
+    """Read the basic coefficients off a cocycle and re-verify every relation.
+
+    Raises `NotACocycleError` for a non-cocycle and `EngineInvariantError`
+    for a cocycle that is not the one its readings set; both messages name
+    the algebra and the first pairs at fault (see `appendix_violations`).
+    """
+    defect = cocycle_defect(algebra, xi)
+    violations = appendix_violations(algebra, xi)
+    where = f"{algebra.family} N={algebra.omega.n} ω ({algebra.omega.tokens()})"
+    detail = "; ".join(violations[:5])
+    if defect:
+        raise NotACocycleError(
+            f"not a two-cocycle of {where} (defect {format_rational(defect)}): {detail}"
+        )
+    if violations:
+        raise EngineInvariantError(
+            f"cocycle of {where} violates {len(violations)} derived relation(s): {detail}"
+        )
+    return _read_basic(algebra, xi)
 
 
 def trivializing_cochain(family: str, omega, alpha: dict) -> OneCochain:

@@ -29,8 +29,14 @@ def ratio(value) -> Scalar:
 
 
 def parse_rational(token: str) -> Scalar:
-    """Parse 'num' or 'num/den' (ASCII or U+2212 minus) into an exact value."""
+    """Parse 'num' or 'num/den' (ASCII or U+2212 minus) into an exact value.
+
+    Exponent notation is refused: `Fraction` would expand a short token such
+    as '1e999999999' into a huge integer before anything could bound it.
+    """
     text = token.strip().replace("−", "-")
+    if "e" in text or "E" in text:
+        raise ValueError(f"bad rational token {token!r}: exponent notation is not accepted")
     try:
         return ratio(Fraction(text))
     except (ValueError, ZeroDivisionError) as exc:

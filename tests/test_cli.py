@@ -224,6 +224,14 @@ def test_empty_omega_entry_is_a_usage_error(capsys):
     assert "position 2" in err
 
 
+@pytest.mark.parametrize("omega", ["1e400", "2E3"])
+def test_exponent_omega_is_a_usage_error(capsys, omega):
+    # Fraction would expand exponent notation into an unbounded integer
+    code, out, err = run_cli(capsys, "h2", "su", "1", omega)
+    assert code == 2 and out == ""
+    assert repr(omega) in err
+
+
 def test_table_refuses_large_n_without_building(capsys, monkeypatch):
     def forbidden(*args):
         raise AssertionError("table rows built past the bound")

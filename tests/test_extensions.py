@@ -1,13 +1,24 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
+import ckcoh.extensions
 from ckcoh.algebra import build_su_omega, build_u_omega, jacobi_residual
-from ckcoh.cochains import OneCochain, TwoCochain
-from ckcoh.cohomology import NotACocycleError, central_extension, delta, is_coboundary
+from ckcoh.cochains import OneCochain, TwoCochain, pair_list
+from ckcoh.cohomology import (
+    NotACocycleError,
+    central_extension,
+    cocycle_defect,
+    cocycle_system,
+    delta,
+    is_coboundary,
+)
 from ckcoh.extensions import (
     BasicCoefficients,
     ConstraintViolation,
+    EngineInvariantError,
     appendix_violations,
     build_extended,
     classify,
@@ -21,7 +32,10 @@ from ckcoh.extensions import (
     verify_theorem,
 )
 from ckcoh.generators import CKBasis
-from ckcoh.omega import OmegaVector
+from ckcoh.omega import OmegaVector, sign_vectors
+from ckcoh.sparse import nullspace
+
+BUILDERS = (("su", build_su_omega), ("u", build_u_omega))
 
 
 def test_classify_su_n3_paper_rows():
@@ -164,6 +178,94 @@ def test_appendix_violations_flag_corrupted_cocycle():
     bad = TwoCochain(8, dict(xi.entries))
     bad.entries[(basis.j(0, 2), basis.m(0, 2))] = 99
     assert appendix_violations(g, bad)
+
+
+def _non_sign_rational(rng):
+    while True:
+        v = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+        if v not in (-1, 0, 1):
+            return v
+
+
+def test_type1_cocycle_is_the_coboundary_of_eta_tau():
+    # Type I is always trivial: eta/tau alone give delta(mu) with
+    # mu(J_ab) = eta_ab, mu(M_ab) = tau_ab, against the independent bracket table
+    rng = random.Random(7)
+    for family, build in BUILDERS:
+        for n in range(1, 5):
+            for _ in range(25):
+                om = OmegaVector([_non_sign_rational(rng) for _ in range(n)])
+                basis = CKBasis(n, family)
+                eta, tau = {}, {}
+                for pair in basis.index_pairs():
+                    if rng.random() < 0.6:
+                        eta[pair] = _non_sign_rational(rng)
+                    if rng.random() < 0.6:
+                        tau[pair] = _non_sign_rational(rng)
+                mu = {basis.j(a, b): v for (a, b), v in eta.items()}
+                mu.update({basis.m(a, b): v for (a, b), v in tau.items()})
+                xi = extension_cocycle(family, n, om, BasicCoefficients(eta=eta, tau=tau))
+                g = build(n, om)
+                assert xi == delta(g, OneCochain(g.dim, mu)), (family, om, eta, tau)
+
+
+def test_rebuild_check_flags_exactly_the_non_cocycles():
+    # one random cocycle per algebra, then +1 on each pair entry in turn:
+    # appendix_violations must be non-empty exactly when the result is not a cocycle
+    rng = random.Random(11)
+    rational = [
+        OmegaVector([Fraction(1, 2), Fraction(-3, 7), 2]),
+        OmegaVector([Fraction(2, 3), 0, Fraction(-5, 2)]),
+    ]
+    omegas = [om for n in range(1, 4) for om in sign_vectors(n)] + rational
+    cases = 0
+    for (family, build), om in itertools.product(BUILDERS, omegas):
+        g = build(om.n, om)
+        base = {}
+        for vec in nullspace(cocycle_system(g)):
+            c = rng.randint(-3, 3)
+            for col, v in vec.items():
+                base[col] = base.get(col, 0) + c * v
+        cocycle = TwoCochain.from_vector(g.dim, base)
+        assert appendix_violations(g, cocycle) == [], (family, om)
+        for pair in pair_list(g.dim):
+            entries = dict(cocycle.entries)
+            entries[pair] = entries.get(pair, 0) + 1
+            xi = TwoCochain(g.dim, entries)
+            flagged = bool(appendix_violations(g, xi))
+            assert flagged == (cocycle_defect(g, xi) != 0), (family, om, pair)
+            cases += 1
+    assert cases == 7128
+
+
+def test_extraction_errors_name_the_algebra_and_the_pair(monkeypatch):
+    om = OmegaVector([0, 1, 0])
+    g = build_su_omega(3, om)
+    basis = CKBasis(3, "su")
+    xi = extension_cocycle("su", 3, om, BasicCoefficients(alpha={1: 1}))
+    bad = TwoCochain(g.dim, dict(xi.entries))
+    bad.entries[(basis.j(0, 2), basis.m(0, 2))] = 99
+    assert appendix_violations(g, bad) == ["xi(J(0,2),M(0,2)): got 99, expected 1"]
+    with pytest.raises(NotACocycleError) as err:
+        extract_basic(g, bad)
+    assert "su N=3 ω (0,1,0)" in str(err.value) and "J(0,2)" in str(err.value)
+
+    # an engine that rebuilds the wrong cocycle: a genuine cocycle then fails
+    om = OmegaVector([0, Fraction(1, 2)])
+    gu = build_u_omega(2, om)
+    bu = CKBasis(2, "u")
+    xi = extension_cocycle("u", 2, om, BasicCoefficients(alpha={1: 1}, gamma={1: 2}))
+    rebuild = ckcoh.extensions.extension_cocycle
+
+    def wrong_rebuild(*args):
+        out = rebuild(*args)
+        return out - TwoCochain(out.dim, {(bu.b(1), bu.b(2)): 1})
+
+    monkeypatch.setattr(ckcoh.extensions, "extension_cocycle", wrong_rebuild)
+    with pytest.raises(EngineInvariantError) as err:
+        extract_basic(gu, xi)
+    assert "u N=2 ω (0,1/2)" in str(err.value)
+    assert "xi(B(1),B(2)): got 0, expected -1" in str(err.value)
 
 
 def test_canonical_cocycles_follow_classification():

@@ -106,3 +106,13 @@ def test_rational_helpers_normal_form():
     assert format_rational(7) == "7"
     with pytest.raises(ValueError):
         parse_rational("1/0")
+
+
+def test_exponent_notation_rejected_decimals_kept():
+    for token in ("1e400", "2E3", "1/2e1"):
+        with pytest.raises(ValueError, match="exponent"):
+            parse_rational(token)
+    with pytest.raises(ValueError, match="1e400"):
+        OmegaVector.parse("+,1e400")
+    assert parse_rational("0.5") == Fraction(1, 2)
+    assert OmegaVector.parse("0.5,-1.25").values == (Fraction(1, 2), Fraction(-5, 4))
