@@ -17,15 +17,19 @@ with brackets (a < b < c throughout, sel the four-delta selector):
     [J_ab,M_ab] = -2 w_ab (B_{a+1} + ... + B_b)         [B_k,B_l]  = 0
 
 and every bracket with four distinct J/M indices vanishing.
+
+Every cyclic sum over generator triples (the Jacobi identity here, the
+cocycle condition and its system in `cohomology`) is one walk, `_cyclic_terms`:
+from the nonzero values on pairs through the brackets indexed by target.
 """
 
 from __future__ import annotations
 
 import json
 
-from .generators import CKBasis, check_family, delta_selector, generator_names
+from .generators import CKBasis, check_family, delta_selector
 from .omega import OmegaVector
-from .rationals import Scalar, format_rational, parse_rational, ratio
+from .rationals import Scalar, _lines, _reader, format_rational, parse_rational, ratio
 
 
 class LieAlgebra:
@@ -128,12 +132,9 @@ class LieAlgebra:
         return "\n".join(lines) + "\n"
 
     @classmethod
+    @_reader
     def from_text(cls, text: str) -> "LieAlgebra":
-        rows = [
-            line.strip()
-            for line in text.splitlines()
-            if line.strip() and not line.lstrip().startswith("#")
-        ]
+        rows = _lines(text)
         if not rows:
             raise ValueError("empty algebra file")
         head = rows[0].split()
@@ -153,7 +154,7 @@ class LieAlgebra:
                 raise ValueError(f"bad constant line: {line!r}")
             i, j, k = int(toks[0]), int(toks[1]), int(toks[2])
             table.setdefault((i, j), []).append((k, parse_rational(toks[3])))
-        names = generator_names(omega.n, family) if family else None
+        names = _ck_names(dim, family, omega) if family else None
         return cls(dim, table, family=family, omega=omega, names=names)
 
     def to_json_obj(self) -> dict:
@@ -171,60 +172,73 @@ class LieAlgebra:
         return obj
 
     @classmethod
+    @_reader
     def from_json_obj(cls, obj) -> "LieAlgebra":
         family = obj.get("family")
         omega = None
         if family:
-            check_family(family)
             omega = OmegaVector([parse_rational(t) for t in obj["omega"]])
         table = {}
         for i, j, k, val in obj["constants"]:
             table.setdefault((i, j), []).append((k, parse_rational(val)))
-        names = generator_names(omega.n, family) if family else None
+        names = _ck_names(obj["dim"], family, omega) if family else None
         return cls(obj["dim"], table, family=family, omega=omega, names=names)
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj(), indent=2, sort_keys=True) + "\n"
 
 
-def touching_triples(algebra: LieAlgebra):
-    """Each generator triple x < y < z with a nonzero bracket among its pairs.
+def _ck_names(dim: int, family: str, omega: OmegaVector) -> tuple[str, ...]:
+    """Generator names for a Cayley-Klein header whose dim fits family and N."""
+    basis = CKBasis(omega.n, family)
+    if dim != basis.dim:
+        raise ValueError(f"header says dim {dim} but {family} N={omega.n} has dim {basis.dim}")
+    return basis.names()
 
-    Every other triple has [X_x, X_y] = [X_y, X_z] = [X_z, X_x] = 0, so the
-    Jacobi and cocycle conditions hold on it identically; walking only these
-    replaces a scan over all C(r,3) combinations.  Each triple appears once.
+
+def _bracket_index(algebra: LieAlgebra) -> dict:
+    """Generator k -> every (p, q, C_pq^k) with p < q and C_pq^k != 0."""
+    into = {}
+    for (p, q), entries in algebra.constants.items():
+        for k, c in entries:
+            into.setdefault(k, []).append((p, q, c))
+    return into
+
+
+def _cyclic_terms(into: dict, a: int, b: int):
+    """Every (sorted triple, coefficient) term that the value on (a, b) enters.
+
+    The cyclic sum of a bilinear f over x < y < z is the sum of C_pq^k f(k, w)
+    over the cyclic arrangements (p, q, w) of the triple.  So f(a, b), read
+    also as -f(b, a), enters the triple {p, q, w} of each bracket with a
+    component along its first index, with coefficient +-C_pq^k (the parity of
+    (p, q, w) against the sorted triple).  `into` is `_bracket_index`.
     """
-    r = algebra.dim
-    seen = set()
-    for (i, j) in algebra.constants:
-        for l in range(r):
-            if l == i or l == j:
+    for k, w, sign in ((a, b, 1), (b, a, -1)):
+        for p, q, c in into.get(k, ()):
+            if w == p or w == q:
                 continue
-            if l < i:
-                triple = (l, i, j)
-            elif l < j:
-                triple = (i, l, j)
+            if w < p:
+                yield (w, p, q), sign * c
+            elif w < q:
+                yield (p, w, q), -sign * c
             else:
-                triple = (i, j, l)
-            if triple not in seen:
-                seen.add(triple)
-                yield triple
+                yield (p, q, w), sign * c
 
 
 def jacobi_residual(algebra: LieAlgebra) -> Scalar:
-    """Largest |cyclic Jacobi sum| over all generator triples (0 iff Lie)."""
-    bracket = algebra.bracket
-    worst = 0
-    for x, y, z in touching_triples(algebra):
-        acc = {}
-        for (p, q), w in (((x, y), z), ((y, z), x), ((z, x), y)):
-            for k, c in bracket(p, q):
-                for m, d in bracket(k, w):
-                    acc[m] = acc.get(m, 0) + c * d
-        for v in acc.values():
-            if v and abs(v) > worst:
-                worst = abs(v)
-    return ratio(worst)
+    """Largest |cyclic Jacobi sum| over all generator triples (0 iff Lie).
+
+    The cyclic sum of f = the bracket itself, one sum per (triple, component).
+    """
+    into = _bracket_index(algebra)
+    sums = {}
+    for (a, b), entries in algebra.constants.items():
+        for triple, coef in _cyclic_terms(into, a, b):
+            for m, d in entries:
+                key = (triple, m)
+                sums[key] = sums.get(key, 0) + coef * d
+    return ratio(max(map(abs, sums.values()), default=0))
 
 
 def _ck_structure(basis: CKBasis, omega: OmegaVector):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 
-from .rationals import format_rational, parse_rational, ratio
+from .rationals import _lines, _reader, format_rational, parse_rational, ratio
 
 
 def pair_count(dim: int) -> int:
@@ -98,12 +98,9 @@ class TwoCochain:
         return "\n".join(lines) + "\n"
 
     @classmethod
+    @_reader
     def from_text(cls, text: str) -> "TwoCochain":
-        rows = [
-            line.strip()
-            for line in text.splitlines()
-            if line.strip() and not line.lstrip().startswith("#")
-        ]
+        rows = _lines(text)
         if not rows or not rows[0].startswith("dim "):
             raise ValueError("cochain file must start with a `dim` line")
         dim = int(rows[0].split()[1])
@@ -123,6 +120,7 @@ class TwoCochain:
         }
 
     @classmethod
+    @_reader
     def from_json_obj(cls, obj) -> "TwoCochain":
         return cls(
             obj["dim"],
@@ -172,5 +170,6 @@ class OneCochain:
         }
 
     @classmethod
+    @_reader
     def from_json_obj(cls, obj) -> "OneCochain":
         return cls(obj["dim"], {int(i): parse_rational(v) for i, v in obj["mu"].items()})

@@ -14,14 +14,18 @@ xi by the two-coboundary (delta mu)(X_i, X_j) = sum_k C_ij^k mu_k.  Then
 
 and representatives of H2 are kernel basis vectors completing a basis of the
 coboundary image inside the cocycle space.
+
+The condition is the Jacobi sum with xi in place of the bracket, so
+`cocycle_system`, `cocycle_defect` and `jacobi_residual` share one walk,
+`algebra._cyclic_terms`, and the image rows delta(e_k) are its bracket index.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebra import LieAlgebra, jacobi_residual
-from .cochains import OneCochain, TwoCochain, pair_count, pair_index
+from .algebra import LieAlgebra, _bracket_index, _cyclic_terms, jacobi_residual
+from .cochains import OneCochain, TwoCochain, pair_count, pair_index, pair_list
 from .rationals import ratio
 from .sparse import Echelon, SparseMatrix, _integer_row, nullspace, rank, solve_many
 
@@ -35,31 +39,22 @@ def cocycle_system(algebra: LieAlgebra) -> SparseMatrix:
 
     One row per generator triple i < j < l in lexicographic order (rows whose
     structure constants all vanish are skipped), one column per cochain
-    unknown (i, j), i < j; r(r-1)/2 columns in total.
+    unknown (i, j), i < j; r(r-1)/2 columns in total.  Assembled column by
+    column: column (a, b) enters the rows `_cyclic_terms` yields for it.
     """
     r = algebra.dim
-    cols = pair_count(r)
-    rows = []
-    for i in range(r):
-        for j in range(i + 1, r):
-            for l in range(j + 1, r):
-                row = {}
-                for (x, y), z in (((i, j), l), ((j, l), i), ((l, i), j)):
-                    for k, c in algebra.bracket(x, y):
-                        if k == z:
-                            continue
-                        if k < z:
-                            col, val = pair_index(r, k, z), c
-                        else:
-                            col, val = pair_index(r, z, k), -c
-                        nv = row.get(col, 0) + val
-                        if nv:
-                            row[col] = nv
-                        else:
-                            del row[col]
-                if row:
-                    rows.append(row)
-    matrix = SparseMatrix(len(rows), cols)
+    into = _bracket_index(algebra)
+    by_triple = {}
+    for col, (a, b) in enumerate(pair_list(r)):
+        for triple, coef in _cyclic_terms(into, a, b):
+            row = by_triple.setdefault(triple, {})
+            v = row.pop(col, 0) + coef
+            if v:
+                row[col] = v
+    # lexicographic triple order through an integer key, cheaper than tuple comparisons
+    order = sorted(by_triple, key=lambda t: (t[0] * r + t[1]) * r + t[2])
+    rows = [by_triple[t] for t in order if by_triple[t]]
+    matrix = SparseMatrix(len(rows), pair_count(r))
     matrix.data[:] = rows
     return matrix
 
@@ -75,58 +70,34 @@ def coboundary_matrix(algebra: LieAlgebra) -> SparseMatrix:
     return matrix
 
 
+def _coboundary(constants: dict, mu: dict) -> dict:
+    """Pair -> (delta mu)(X_i, X_j) = mu([X_i, X_j]) over a bracket table (zeros kept)."""
+    return {pair: sum(c * mu.get(k, 0) for k, c in terms) for pair, terms in constants.items()}
+
+
 def delta(algebra: LieAlgebra, mu: OneCochain) -> TwoCochain:
     """The two-coboundary of mu: (delta mu)(X_i, X_j) = mu([X_i, X_j])."""
     if mu.dim != algebra.dim:
         raise ValueError("cochain dimension does not match the algebra")
-    entries = {}
-    for (i, j), terms in algebra.constants.items():
-        s = 0
-        for k, c in terms:
-            v = mu.get(k)
-            if v:
-                s += c * v
-        if s:
-            entries[(i, j)] = s
-    return TwoCochain(algebra.dim, entries)
+    return TwoCochain(algebra.dim, _coboundary(algebra.constants, mu.mu))
 
 
 def cocycle_defect(algebra: LieAlgebra, xi: TwoCochain):
     """Largest |violation| of the cocycle condition; 0 iff xi is a cocycle.
 
-    Entry-driven: the condition on a triple x < y < z is the sum of the
-    terms sign * C_pq^k xi(k, w) over the cyclic arrangements of the triple,
-    so each nonzero xi(a, b) (read as xi(a, b) and as xi(b, a)) meets only
-    the brackets [X_p, X_q] with a component along its first index, and adds
-    to the triple {p, q, w}.  The sign is the parity of (p, q, w) against the
-    sorted triple.  Triples that no term reaches sum to 0, so the cost
-    follows the entries of xi, not the number of triples.  The result is
-    normalised by `ratio` (an int when integral), as in `jacobi_residual`.
+    Entry-driven: each nonzero xi(a, b) adds to the triples `_cyclic_terms`
+    yields for (a, b), so the cost follows the entries of xi, not the number
+    of triples.  The result is normalised by `ratio` (an int when integral),
+    as in `jacobi_residual`.
     """
     if xi.dim != algebra.dim:
         raise ValueError("cochain dimension does not match the algebra")
-    into = {}
-    for (p, q), entries in algebra.constants.items():
-        for k, c in entries:
-            into.setdefault(k, []).append((p, q, c))
+    into = _bracket_index(algebra)
     sums = {}
     for (a, b), v in xi.entries.items():
-        for k, w, value in ((a, b, v), (b, a, -v)):
-            for p, q, c in into.get(k, ()):
-                if w == p or w == q:
-                    continue
-                if w < p:
-                    triple, term = (w, p, q), c * value
-                elif w < q:
-                    triple, term = (p, w, q), -c * value
-                else:
-                    triple, term = (p, q, w), c * value
-                sums[triple] = sums.get(triple, 0) + term
-    worst = 0
-    for s in sums.values():
-        if s and abs(s) > worst:
-            worst = abs(s)
-    return ratio(worst)
+        for triple, coef in _cyclic_terms(into, a, b):
+            sums[triple] = sums.get(triple, 0) + coef * v
+    return ratio(max(map(abs, sums.values()), default=0))
 
 
 def is_cocycle(algebra: LieAlgebra, xi: TwoCochain) -> bool:
@@ -159,17 +130,6 @@ class CohomologyResult:
     representatives: list[TwoCochain] = field(default_factory=list)
 
 
-def _coboundary_image_rows(algebra: LieAlgebra):
-    """Integer row per generator k: the pair-space vector delta(e_k)."""
-    r = algebra.dim
-    rows = [{} for _ in range(r)]
-    for (i, j), entries in algebra.constants.items():
-        col = pair_index(r, i, j)
-        for k, c in entries:
-            rows[k][col] = c
-    return [_integer_row(row) for row in rows]
-
-
 def h2(algebra: LieAlgebra, representatives: bool = True, check: bool = True) -> CohomologyResult:
     """Full second cohomology: dimensions and (optionally) representatives.
 
@@ -180,11 +140,12 @@ def h2(algebra: LieAlgebra, representatives: bool = True, check: bool = True) ->
     if check and jacobi_residual(algebra) != 0:
         raise ValueError("not a Lie algebra: nonzero Jacobi residual")
     system = cocycle_system(algebra)
-    cols = pair_count(algebra.dim)
-    image_rows = [row for row in _coboundary_image_rows(algebra) if row]
+    r = algebra.dim
+    cols = pair_count(r)
     image = Echelon(cols)
-    for row in image_rows:
-        image.absorb(row)
+    into = _bracket_index(algebra)
+    for k in sorted(into):  # delta(e_k), generator by generator
+        image.absorb(_integer_row({pair_index(r, p, q): c for p, q, c in into[k]}))
     dim_b2 = image.rank
     if not representatives:
         dim_z2 = cols - rank(system)

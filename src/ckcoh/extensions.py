@@ -12,6 +12,9 @@ Counting over a vector with n vanishing constants gives the closed formulas
 
   dim H2(su_omega(N+1)) = n(n+1)/2      dim H2(u_omega(N+1)) = n(n+3)/2.
 
+Type I is trivial because it is a coboundary: eta/tau set the cocycle
+delta(mu) with mu(J_ab) = eta_ab, mu(M_ab) = tau_ab.
+
 The module also reads the basic coefficients off an arbitrary cocycle and
 checks the reading by rebuilding: the cocycle those coefficients set
 (`extension_cocycle`) must equal the input entry for entry, which is every
@@ -25,11 +28,12 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import LieAlgebra, build_su_omega, build_u_omega
+from .algebra import LieAlgebra, _ck_structure, build_su_omega, build_u_omega
 from .cochains import OneCochain, TwoCochain
 from .cohomology import (
     CohomologyResult,
     NotACocycleError,
+    _coboundary,
     are_coboundaries,
     central_extension,
     cocycle_defect,
@@ -37,7 +41,7 @@ from .cohomology import (
 )
 from .generators import CKBasis, check_family, delta_selector
 from .omega import OmegaVector
-from .rationals import format_rational, parse_rational, ratio
+from .rationals import _reader, format_rational, parse_rational, ratio
 
 
 class ConstraintViolation(ValueError):
@@ -57,6 +61,15 @@ def _clean(table) -> dict:
     return out
 
 
+# Field and symbol of each kind of basic coefficient, in listing order;
+# alpha and gamma are keyed by k, the others by a pair.
+_FIELDS = (("eta", "η"), ("tau", "τ"), ("alpha", "α"), ("beta", "β"), ("gamma", "γ"))
+
+
+def _key_text(key, sep: str) -> str:
+    return sep.join(map(str, key)) if isinstance(key, tuple) else str(key)
+
+
 @dataclass(frozen=True)
 class BasicCoefficients:
     """Basic extension coefficients; absent entries are zero."""
@@ -68,11 +81,8 @@ class BasicCoefficients:
     gamma: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "eta", _clean(self.eta))
-        object.__setattr__(self, "tau", _clean(self.tau))
-        object.__setattr__(self, "alpha", _clean(self.alpha))
-        object.__setattr__(self, "beta", _clean(self.beta))
-        object.__setattr__(self, "gamma", _clean(self.gamma))
+        for name, _ in _FIELDS:
+            object.__setattr__(self, name, _clean(getattr(self, name)))
 
     def validate(self, family: str, omega: OmegaVector):
         """Index ranges plus the Type III constraints; raises on violation."""
@@ -100,63 +110,38 @@ class BasicCoefficients:
                 raise ConstraintViolation(f"gamma_{k} != 0 requires omega_{k} = 0")
 
     def is_zero(self) -> bool:
-        return not (self.eta or self.tau or self.alpha or self.beta or self.gamma)
-
-    def labels(self) -> list[str]:
-        """Names of the nonzero Type II / Type III coefficients."""
-        out = [f"α_{k}" for k in sorted(self.alpha)]
-        out += [f"β_{k}{l}" for k, l in sorted(self.beta)]
-        out += [f"γ_{k}" for k in sorted(self.gamma)]
-        return out
+        return not any(getattr(self, name) for name, _ in _FIELDS)
 
     def describe(self) -> str:
         """All nonzero coefficients (Type I included) as `name=value` text."""
-        parts = []
-        for (a, b) in sorted(self.eta):
-            parts.append(f"η_{a}{b}={format_rational(self.eta[(a, b)])}")
-        for (a, b) in sorted(self.tau):
-            parts.append(f"τ_{a}{b}={format_rational(self.tau[(a, b)])}")
-        for k in sorted(self.alpha):
-            parts.append(f"α_{k}={format_rational(self.alpha[k])}")
-        for (k, l) in sorted(self.beta):
-            parts.append(f"β_{k}{l}={format_rational(self.beta[(k, l)])}")
-        for k in sorted(self.gamma):
-            parts.append(f"γ_{k}={format_rational(self.gamma[k])}")
+        parts = [
+            f"{symbol}_{_key_text(key, '')}={format_rational(v)}"
+            for name, symbol in _FIELDS
+            for key, v in sorted(getattr(self, name).items())
+        ]
         return " ".join(parts) if parts else "0"
 
     def to_json_obj(self) -> dict:
         obj = {}
-        if self.eta:
-            obj["eta"] = {f"{a},{b}": format_rational(v) for (a, b), v in sorted(self.eta.items())}
-        if self.tau:
-            obj["tau"] = {f"{a},{b}": format_rational(v) for (a, b), v in sorted(self.tau.items())}
-        if self.alpha:
-            obj["alpha"] = {str(k): format_rational(v) for k, v in sorted(self.alpha.items())}
-        if self.beta:
-            obj["beta"] = {f"{k},{l}": format_rational(v) for (k, l), v in sorted(self.beta.items())}
-        if self.gamma:
-            obj["gamma"] = {str(k): format_rational(v) for k, v in sorted(self.gamma.items())}
+        for name, _ in _FIELDS:
+            if table := getattr(self, name):
+                obj[name] = {_key_text(k, ","): format_rational(v) for k, v in sorted(table.items())}
         return obj
 
     @classmethod
+    @_reader
     def from_json_obj(cls, obj) -> "BasicCoefficients":
-        def pairs(name):
-            out = {}
-            for key, v in obj.get(name, {}).items():
-                a, b = key.split(",")
-                out[(int(a), int(b))] = parse_rational(v)
-            return out
+        def key(name, text):
+            if name in ("alpha", "gamma"):
+                return int(text)
+            a, b = text.split(",")
+            return int(a), int(b)
 
-        def singles(name):
-            return {int(k): parse_rational(v) for k, v in obj.get(name, {}).items()}
-
-        return cls(
-            eta=pairs("eta"),
-            tau=pairs("tau"),
-            alpha=singles("alpha"),
-            beta=pairs("beta"),
-            gamma=singles("gamma"),
-        )
+        tables = {
+            name: {key(name, k): parse_rational(v) for k, v in obj.get(name, {}).items()}
+            for name, _ in _FIELDS
+        }
+        return cls(**tables)
 
 
 @dataclass(frozen=True)
@@ -217,10 +202,10 @@ def classify(family: str, N: int, omega) -> ExtensionClassification:
 def extension_cocycle(family: str, N: int, omega, coeffs: BasicCoefficients) -> TwoCochain:
     """The two-cocycle determined by a set of basic coefficients.
 
-    Every derived component follows the extended bracket table: the eta/tau
-    terms ride the omega prefactors of their carriers, alpha enters through
-    [J_ac, M_ac] with the omega(a,s-1) omega(s,c) weights, beta/gamma sit on
-    the B-B and B-I pairs.
+    Type I = delta(mu): the eta/tau part is the coboundary of mu(J_ab) =
+    eta_ab, mu(M_ab) = tau_ab, evaluated over the bracket table (skipped when
+    eta = tau = 0).  Alpha enters through [J_ac, M_ac] with the
+    omega(a,s-1) omega(s,c) weights, beta/gamma sit on the B-B and B-I pairs.
     """
     if not isinstance(omega, OmegaVector):
         omega = OmegaVector(omega)
@@ -230,42 +215,20 @@ def extension_cocycle(family: str, N: int, omega, coeffs: BasicCoefficients) -> 
     basis = CKBasis(N, family)
     w = omega.product
     j, m, b = basis.j, basis.m, basis.b
-    eta = lambda a, bb: coeffs.eta.get((a, bb), 0)
-    tau = lambda a, bb: coeffs.tau.get((a, bb), 0)
     entries = {}
+    if coeffs.eta or coeffs.tau:
+        mu = {j(a, bb): v for (a, bb), v in coeffs.eta.items()}
+        mu.update({m(a, bb): v for (a, bb), v in coeffs.tau.items()})
+        entries = _coboundary(_ck_structure(basis, omega), mu)
 
     def put(i, jj, value):
         if value:
             entries[(i, jj)] = entries.get((i, jj), 0) + value
 
-    for a in range(N - 1):
-        for bb in range(a + 1, N):
-            for c in range(bb + 1, N + 1):
-                w_ab, w_bc = w(a, bb), w(bb, c)
-                put(j(a, bb), j(a, c), w_ab * eta(bb, c))
-                put(j(a, bb), j(bb, c), -eta(a, c))
-                put(j(a, c), j(bb, c), w_bc * eta(a, bb))
-                put(m(a, bb), m(a, c), w_ab * eta(bb, c))
-                put(m(a, bb), m(bb, c), eta(a, c))
-                put(m(a, c), m(bb, c), w_bc * eta(a, bb))
-                put(j(a, bb), m(a, c), w_ab * tau(bb, c))
-                put(j(a, c), m(a, bb), w_ab * tau(bb, c))
-                put(j(a, bb), m(bb, c), -tau(a, c))
-                put(j(bb, c), m(a, bb), tau(a, c))
-                put(j(a, c), m(bb, c), -w_bc * tau(a, bb))
-                put(j(bb, c), m(a, c), -w_bc * tau(a, bb))
-    for a, bb in basis.index_pairs():
-        total = 0
-        for s in range(a + 1, bb + 1):
-            al = coeffs.alpha.get(s, 0)
-            if al:
-                total += w(a, s - 1) * w(s, bb) * al
-        put(j(a, bb), m(a, bb), total)
-        for l in range(1, N + 1):
-            sel = delta_selector(a, bb, l)
-            if sel:
-                put(j(a, bb), b(l), sel * tau(a, bb))
-                put(m(a, bb), b(l), -sel * eta(a, bb))
+    for s, al in coeffs.alpha.items():
+        for a in range(s):
+            for bb in range(s, N + 1):
+                put(j(a, bb), m(a, bb), w(a, s - 1) * w(s, bb) * al)
     for (k, l), v in coeffs.beta.items():
         put(b(k), b(l), v)
     if family == "u":

@@ -10,6 +10,7 @@ No floating point is used anywhere.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 Scalar = int | Fraction
@@ -49,3 +50,25 @@ def format_rational(value) -> str:
     if isinstance(value, int):
         return str(value)
     return f"{value.numerator}/{value.denominator}"
+
+
+def _lines(text: str) -> list[str]:
+    """The stripped lines of a text format, blank and `#` comment lines dropped."""
+    return [line.strip() for line in text.splitlines() if line.strip() and line.strip()[0] != "#"]
+
+
+def _reader(parse):
+    """Make a text or JSON reader raise ValueError, and only that, on bad input.
+
+    Out-of-range entries make the constructors raise IndexError, and a mangled
+    input meets KeyError, TypeError or AttributeError on the way.
+    """
+
+    @functools.wraps(parse)
+    def read(cls, data):
+        try:
+            return parse(cls, data)
+        except (LookupError, TypeError, AttributeError) as exc:
+            raise ValueError(f"malformed {cls.__name__} input: {exc!r}") from exc
+
+    return read

@@ -30,7 +30,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
-from .rationals import format_rational, parse_rational, ratio
+from .rationals import _lines, _reader, format_rational, parse_rational, ratio
 
 DENSE_THRESHOLD = 200
 
@@ -87,12 +87,9 @@ class SparseMatrix:
         return "\n".join(lines) + "\n"
 
     @classmethod
+    @_reader
     def from_text(cls, text: str) -> "SparseMatrix":
-        rows = [
-            line.strip()
-            for line in text.splitlines()
-            if line.strip() and not line.lstrip().startswith("#")
-        ]
+        rows = _lines(text)
         if not rows:
             raise ValueError("empty matrix file")
         nr, nc = (int(t) for t in rows[0].split())
@@ -114,6 +111,7 @@ class SparseMatrix:
         }
 
     @classmethod
+    @_reader
     def from_json_obj(cls, obj) -> "SparseMatrix":
         m = cls(obj["rows"], obj["cols"])
         for r, c, v in obj["entries"]:

@@ -2,17 +2,20 @@
 
 `ScanEchelon` is an `Echelon` whose `reduce` visits every pivot for every row
 and whose `back_substitute` visits every pivot in reverse creation order.
-`scan_cocycle_defect` evaluates the cocycle condition on every triple that
-touches a nonzero bracket.  These are the plain full walks; the library's
-pivot-, use- and entry-indexed versions must give the same results, with the
-same arithmetic in the same order, so the tests compare them exactly.
+`scan_cocycle_system`, `scan_cocycle_defect` and `scan_jacobi_residual`
+evaluate the cyclic sum on every one of the C(r,3) generator triples with
+three `bracket` reads each.  These are the plain full walks; the library's
+pivot-, use- and entry-indexed versions must give the same results, so the
+tests compare them exactly.
 """
 
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
-from ckcoh.algebra import touching_triples
-from ckcoh.sparse import Echelon, _strip_gcd
+from ckcoh.cochains import pair_count, pair_index
+from ckcoh.rationals import ratio
+from ckcoh.sparse import Echelon, SparseMatrix, _strip_gcd
 
 
 class ScanEchelon(Echelon):
@@ -56,10 +59,39 @@ class ScanEchelon(Echelon):
         return x
 
 
+def scan_cocycle_system(algebra) -> SparseMatrix:
+    """The cocycle system as one row per non-empty triple of a C(r,3) loop."""
+    r = algebra.dim
+    cols = pair_count(r)
+    rows = []
+    for i in range(r):
+        for j in range(i + 1, r):
+            for l in range(j + 1, r):
+                row = {}
+                for (x, y), z in (((i, j), l), ((j, l), i), ((l, i), j)):
+                    for k, c in algebra.bracket(x, y):
+                        if k == z:
+                            continue
+                        if k < z:
+                            col, val = pair_index(r, k, z), c
+                        else:
+                            col, val = pair_index(r, z, k), -c
+                        nv = row.get(col, 0) + val
+                        if nv:
+                            row[col] = nv
+                        else:
+                            del row[col]
+                if row:
+                    rows.append(row)
+    matrix = SparseMatrix(len(rows), cols)
+    matrix.data[:] = rows
+    return matrix
+
+
 def scan_cocycle_defect(algebra, xi):
-    """Largest |violation| of the cocycle condition over the touching triples."""
+    """Largest |violation| of the cocycle condition over all triples."""
     worst = 0
-    for x, y, z in touching_triples(algebra):
+    for x, y, z in combinations(range(algebra.dim), 3):
         s = 0
         for (p, q), w in (((x, y), z), ((y, z), x), ((z, x), y)):
             for k, c in algebra.bracket(p, q):
@@ -69,3 +101,19 @@ def scan_cocycle_defect(algebra, xi):
         if s and abs(s) > worst:
             worst = abs(s)
     return worst
+
+
+def scan_jacobi_residual(algebra):
+    """Largest |cyclic Jacobi sum| over all triples."""
+    bracket = algebra.bracket
+    worst = 0
+    for x, y, z in combinations(range(algebra.dim), 3):
+        acc = {}
+        for (p, q), w in (((x, y), z), ((y, z), x), ((z, x), y)):
+            for k, c in bracket(p, q):
+                for m, d in bracket(k, w):
+                    acc[m] = acc.get(m, 0) + c * d
+        for v in acc.values():
+            if v and abs(v) > worst:
+                worst = abs(v)
+    return ratio(worst)

@@ -1,20 +1,10 @@
-import random
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 
-from ckcoh.algebra import (
-    LieAlgebra,
-    build_su_omega,
-    build_u_omega,
-    jacobi_residual,
-    touching_triples,
-)
+from ckcoh.algebra import LieAlgebra, build_su_omega, build_u_omega, jacobi_residual
 from ckcoh.generators import CKBasis, delta_selector
-from ckcoh.omega import OmegaVector, sign_vectors
-
-from random_algebras import random_algebra
+from ckcoh.omega import OmegaVector
 
 
 def test_su2_dimension_and_brackets():
@@ -182,24 +172,14 @@ def test_permuted_relabelling_keeps_jacobi():
     assert p != g  # genuinely relabelled
 
 
-def _brute_touching(g):
-    return {
-        t
-        for t in combinations(range(g.dim), 3)
-        if any(g.bracket(p, q) for p, q in combinations(t, 2))
-    }
-
-
-def test_touching_triples_match_brute_force_filter():
-    algebras = [
-        build(n, om)
-        for build in (build_su_omega, build_u_omega)
-        for n in range(1, 4)
-        for om in sign_vectors(n)
-    ]
-    rng = random.Random(7)
-    algebras += [random_algebra(rng, max_dim=8) for _ in range(20)]
-    for g in algebras:
-        walked = list(touching_triples(g))
-        assert len(walked) == len(set(walked))
-        assert set(walked) == _brute_touching(g)
+@pytest.mark.parametrize("family,n,dim", [("su", 1, 5), ("su", 2, 9), ("u", 1, 3), ("u", 2, 8)])
+def test_ck_header_dim_must_match_family_and_n(family, n, dim):
+    # the right dims are su N=1: 3, su N=2: 8, u N=1: 4, u N=2: 9
+    build = build_su_omega if family == "su" else build_u_omega
+    text = build(n, [1] * n).to_text().split("\n", 1)[1]
+    with pytest.raises(ValueError, match=f"header says dim {dim}"):
+        LieAlgebra.from_text(f"{dim} {n} {family}" + " 1" * n + "\n" + text)
+    obj = build(n, [1] * n).to_json_obj()
+    obj["dim"] = dim
+    with pytest.raises(ValueError, match=f"header says dim {dim}"):
+        LieAlgebra.from_json_obj(obj)

@@ -196,17 +196,63 @@ def test_type1_cocycle_is_the_coboundary_of_eta_tau():
             for _ in range(25):
                 om = OmegaVector([_non_sign_rational(rng) for _ in range(n)])
                 basis = CKBasis(n, family)
-                eta, tau = {}, {}
-                for pair in basis.index_pairs():
-                    if rng.random() < 0.6:
-                        eta[pair] = _non_sign_rational(rng)
-                    if rng.random() < 0.6:
-                        tau[pair] = _non_sign_rational(rng)
-                mu = {basis.j(a, b): v for (a, b), v in eta.items()}
-                mu.update({basis.m(a, b): v for (a, b), v in tau.items()})
+                eta, tau, mu = _type1_coefficients(basis, rng)
                 xi = extension_cocycle(family, n, om, BasicCoefficients(eta=eta, tau=tau))
                 g = build(n, om)
                 assert xi == delta(g, OneCochain(g.dim, mu)), (family, om, eta, tau)
+
+
+def _rational_or_zero(rng):
+    return 0 if rng.random() < 0.3 else _non_sign_rational(rng)
+
+
+def _type1_coefficients(basis, rng):
+    """Random eta, tau and the mu with mu(J_ab) = eta_ab, mu(M_ab) = tau_ab."""
+    eta, tau = {}, {}
+    for pair in basis.index_pairs():
+        if rng.random() < 0.6:
+            eta[pair] = _non_sign_rational(rng)
+        if rng.random() < 0.6:
+            tau[pair] = _non_sign_rational(rng)
+    mu = {basis.j(a, b): v for (a, b), v in eta.items()}
+    mu.update({basis.m(a, b): v for (a, b), v in tau.items()})
+    return eta, tau, mu
+
+
+def test_type1_readings_of_a_coboundary():
+    # the paper's readings recover eta/tau from delta(mu), mu(J_ab) = eta_ab,
+    # mu(M_ab) = tau_ab, whatever omega is (zeros included)
+    rng = random.Random(13)
+    cases = 0
+    for family, build in BUILDERS:
+        for n in range(1, 5):
+            for _ in range(25):
+                om = OmegaVector([_rational_or_zero(rng) for _ in range(n)])
+                basis = CKBasis(n, family)
+                eta, tau, mu = _type1_coefficients(basis, rng)
+                g = build(n, om)
+                read = extract_basic(g, delta(g, OneCochain(g.dim, mu)))
+                assert read == BasicCoefficients(eta=eta, tau=tau), (family, om, eta, tau)
+                cases += 1
+    assert cases == 200
+
+
+def test_rational_omegas_against_the_formula():
+    # non-sign rational omegas (negative, non-unit, some zeros): dim H2 equals
+    # the closed formula and every representative is rebuilt from its readings
+    rng = random.Random(17)
+    cases = 0
+    for family, _ in BUILDERS:
+        for n in range(1, 5):
+            for _ in range(12):
+                om = OmegaVector([_rational_or_zero(rng) for _ in range(n)])
+                report = verify_theorem(family, n, om, representatives=True)
+                assert report.ok, (family, om)
+                for rep in report.result.representatives:
+                    coeffs = extract_basic(report.algebra, rep)
+                    assert extension_cocycle(family, n, om, coeffs) == rep, (family, om)
+                cases += 1
+    assert cases == 96
 
 
 def test_rebuild_check_flags_exactly_the_non_cocycles():

@@ -1,8 +1,10 @@
-"""The indexed elimination, back-substitution and cocycle check against scans.
+"""The indexed elimination, back-substitution and cyclic sums against scans.
 
 Every comparison is exact and includes dict key order: the pivot rows and
 leftovers of an echelon, the kernel vectors of `nullspace`, the solutions of
-`solve_many`, the representatives of `h2` and the value of `cocycle_defect`.
+`solve_many` and the representatives of `h2`.  The entry-driven cyclic sums
+give the same `cocycle_defect`, `jacobi_residual` and cocycle-system rows, in
+the same row order, as a walk over all C(r,3) triples.
 """
 
 import random
@@ -12,7 +14,7 @@ import pytest
 
 import ckcoh.cohomology
 import ckcoh.sparse
-from ckcoh.algebra import build_su_omega, build_u_omega
+from ckcoh.algebra import LieAlgebra, build_su_omega, build_u_omega, jacobi_residual
 from ckcoh.cochains import TwoCochain, pair_list
 from ckcoh.cohomology import are_coboundaries, cocycle_defect, cocycle_system, h2
 from ckcoh.omega import OmegaVector, sign_vectors
@@ -27,7 +29,12 @@ from ckcoh.sparse import (
 )
 
 from random_algebras import random_algebra
-from scan_oracle import ScanEchelon, scan_cocycle_defect
+from scan_oracle import (
+    ScanEchelon,
+    scan_cocycle_defect,
+    scan_cocycle_system,
+    scan_jacobi_residual,
+)
 
 
 def _ck_algebras():
@@ -188,3 +195,64 @@ def test_cocycle_defect_matches_scan():
             assert fast == slow and type(fast) is type(ratio(slow))
             nonzero += fast != 0
     assert nonzero > 100
+
+
+def _sweep_algebras():
+    """su and u for every sign vector with N <= 4, plus rational omegas."""
+    omegas = [om for n in range(1, 5) for om in sign_vectors(n)]
+    omegas += [
+        OmegaVector.parse(t)
+        for t in ("2/3,-1", "0,-1/2,0", "-2/3,1,5/2", "0,3/4,0,-2", "1/2,-3,2/5,7")
+    ]
+    for om in omegas:
+        yield build_su_omega(om.n, om)
+        yield build_u_omega(om.n, om)
+
+
+def _perturbed(g, rng):
+    """g with one structure constant changed: scaled, negated or retargeted."""
+    table = {pair: list(entries) for pair, entries in g.constants.items()}
+    pair = rng.choice(sorted(table))
+    entries = table[pair]
+    at = rng.randrange(len(entries))
+    k, c = entries[at]
+    kind = rng.randrange(3)
+    if kind == 0:
+        entries[at] = (k, c * Fraction(rng.choice((2, 3, -1, 1)), rng.randint(1, 3)) + 1)
+    elif kind == 1:
+        entries[at] = (k, -c)
+    else:
+        entries[at] = (rng.randrange(g.dim), c)
+    return LieAlgebra(g.dim, table)
+
+
+SWEEP = list(_sweep_algebras())
+RANDOM_WIDE = [random_algebra(random.Random(100 + seed), max_dim=10) for seed in range(40)]
+
+
+def test_cocycle_system_matches_the_triple_loop():
+    for g in SWEEP + RANDOM_WIDE:
+        fast, slow = cocycle_system(g), scan_cocycle_system(g)
+        assert (fast.rows, fast.cols) == (slow.rows, slow.cols)
+        assert fast.data == slow.data  # same rows in the same order
+
+
+def test_cocycle_system_gives_the_same_kernel_with_key_order():
+    for g in CK + RANDOM:
+        fast = _ordered(nullspace(cocycle_system(g)))
+        assert fast == _ordered(nullspace(scan_cocycle_system(g)))
+
+
+def test_jacobi_residual_matches_the_triple_loop():
+    for g in SWEEP + RANDOM_WIDE:
+        assert jacobi_residual(g) == scan_jacobi_residual(g) == 0
+    rng = random.Random(5)
+    nonzero = 0
+    bases = [g for g in SWEEP if g.dim <= 15] + [g for g in RANDOM_WIDE if g.constants]
+    for g in rng.sample(bases, 50):
+        bad = _perturbed(g, rng)
+        fast, slow = jacobi_residual(bad), scan_jacobi_residual(bad)
+        assert fast == slow and type(fast) is type(slow), bad
+        assert cocycle_system(bad).data == scan_cocycle_system(bad).data
+        nonzero += fast != 0
+    assert nonzero >= 40
