@@ -15,6 +15,18 @@ xi by the two-coboundary (delta mu)(X_i, X_j) = sum_k C_ij^k mu_k.  Then
 and representatives of H2 are kernel basis vectors completing a basis of the
 coboundary image inside the cocycle space.
 
+Only the character-0 block is solved.  The sign maps sigma_S of a CK algebra
+scale each generator by a character (`algebra._characters`) that brackets
+respect, so the system and the coboundary image split into blocks of pair
+character chi_i + chi_j.  Each sigma_S is exp(pi ad X) with X in span(B_l),
+since ad(B_l) rotates every (J_ab, M_ab) plane, and such an automorphism acts
+trivially on H2 (Hochschild and Serre, Ann. Math. 57, 1953).  A class of
+character chi != 0 is negated by some sigma_S, so
+
+    Z2_chi = B2_chi for every chi != 0:
+
+all of H2 lives in block 0.  Any other algebra is one block.
+
 The condition is the Jacobi sum with xi in place of the bracket, so
 `cocycle_system`, `cocycle_defect` and `jacobi_residual` share one walk,
 `algebra._cyclic_terms`, and the image rows delta(e_k) are its bracket index.
@@ -24,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebra import LieAlgebra, _bracket_index, _cyclic_terms, jacobi_residual
+from .algebra import LieAlgebra, _bracket_index, _characters, _cyclic_terms, jacobi_residual
 from .cochains import OneCochain, TwoCochain, pair_count, pair_index, pair_list
 from .rationals import ratio
 from .sparse import Echelon, SparseMatrix, _integer_row, nullspace, rank, solve_many
@@ -34,18 +46,20 @@ class NotACocycleError(ValueError):
     """Raised when an operation requires a two-cocycle and got something else."""
 
 
-def cocycle_system(algebra: LieAlgebra) -> SparseMatrix:
+def cocycle_system(algebra: LieAlgebra, pairs=None) -> SparseMatrix:
     """Sparse matrix of the two-cocycle conditions.
 
-    One row per generator triple i < j < l in lexicographic order (rows whose
-    structure constants all vanish are skipped), one column per cochain
-    unknown (i, j), i < j; r(r-1)/2 columns in total.  Assembled column by
-    column: column (a, b) enters the rows `_cyclic_terms` yields for it.
+    One column per unknown xi_ij of `pairs`, in that order (default: all
+    r(r-1)/2 pairs i < j, lexicographic), one row per generator triple
+    i < j < l in lexicographic order (empty rows are skipped).  Assembled
+    column by column: column (a, b) enters the rows `_cyclic_terms` yields.
     """
     r = algebra.dim
+    if pairs is None:
+        pairs = pair_list(r)
     into = _bracket_index(algebra)
     by_triple = {}
-    for col, (a, b) in enumerate(pair_list(r)):
+    for col, (a, b) in enumerate(pairs):
         for triple, coef in _cyclic_terms(into, a, b):
             row = by_triple.setdefault(triple, {})
             v = row.pop(col, 0) + coef
@@ -54,7 +68,7 @@ def cocycle_system(algebra: LieAlgebra) -> SparseMatrix:
     # lexicographic triple order through an integer key, cheaper than tuple comparisons
     order = sorted(by_triple, key=lambda t: (t[0] * r + t[1]) * r + t[2])
     rows = [by_triple[t] for t in order if by_triple[t]]
-    matrix = SparseMatrix(len(rows), pair_count(r))
+    matrix = SparseMatrix(len(rows), len(pairs))
     matrix.data[:] = rows
     return matrix
 
@@ -133,33 +147,36 @@ class CohomologyResult:
 def h2(algebra: LieAlgebra, representatives: bool = True, check: bool = True) -> CohomologyResult:
     """Full second cohomology: dimensions and (optionally) representatives.
 
-    Representatives are kernel basis vectors of the cocycle system, taken in
-    canonical order and kept exactly when independent of the coboundary image
-    plus the representatives already chosen.
+    On the character-0 block, dim H2 = nullity - rank of its coboundaries,
+    and dim Z2 = dim B2 + dim H2.  Representatives are the block's kernel
+    basis vectors, taken in canonical order and kept exactly when independent
+    of the coboundary image plus the representatives already chosen.
     """
     if check and jacobi_residual(algebra) != 0:
         raise ValueError("not a Lie algebra: nonzero Jacobi residual")
-    system = cocycle_system(algebra)
     r = algebra.dim
-    cols = pair_count(r)
-    image = Echelon(cols)
+    chars = _characters(algebra)
+    block = [(i, j) for i, j in pair_list(r) if chars[i] == chars[j]]
+    system = cocycle_system(algebra, block)
+    image = Echelon(pair_count(r))
     into = _bracket_index(algebra)
-    for k in sorted(into):  # delta(e_k), generator by generator
-        image.absorb(_integer_row({pair_index(r, p, q): c for p, q, c in into[k]}))
+    rank_0 = 0
+    for k in sorted(into):  # delta(e_k) lies in block chars[k]; blocks never mix
+        if image.absorb(_integer_row({pair_index(r, p, q): c for p, q, c in into[k]})):
+            rank_0 += not chars[k]
     dim_b2 = image.rank
     if not representatives:
-        dim_z2 = cols - rank(system)
-        return CohomologyResult(dim_z2, dim_b2, dim_z2 - dim_b2, [])
+        dim_h2 = len(block) - rank(system) - rank_0
+        return CohomologyResult(dim_b2 + dim_h2, dim_b2, dim_h2, [])
     kernel = nullspace(system)
-    dim_z2 = len(kernel)
+    dim_h2 = len(kernel) - rank_0
     reps = []
     for vec in kernel:
-        if image.absorb(vec):
-            reps.append(TwoCochain.from_vector(algebra.dim, vec))
-    result = CohomologyResult(dim_z2, dim_b2, dim_z2 - dim_b2, reps)
-    if len(reps) != result.dim_H2:
+        if image.absorb({pair_index(r, *block[c]): v for c, v in vec.items()}):
+            reps.append(TwoCochain(r, {block[c]: v for c, v in vec.items()}))
+    if len(reps) != dim_h2:
         raise AssertionError("representative extension lost independence")
-    return result
+    return CohomologyResult(dim_b2 + dim_h2, dim_b2, dim_h2, reps)
 
 
 def h2_dimensions(algebra: LieAlgebra, check: bool = True) -> tuple[int, int, int]:

@@ -3,15 +3,9 @@
 Rows are dicts {column: int} after clearing denominators.  Forward elimination
 is fraction-free: combining rows uses integer cross-multiplication followed by
 a gcd strip, so entries never leave Z and never blow up through denominators
-(Bareiss-style growth control on sparse data).  Pivoting is a strategy switch:
-
-  * below DENSE_THRESHOLD columns: rows in natural order, lexicographically
-    first pivot column -- the textbook echelon, cheap for small systems;
-  * at or above: rows sorted sparsest-first and the pivot chosen as the
-    globally rarest column of the row (Markowitz-style fill avoidance).
-
-Both regimes share the same echelon structure, kernel back-substitution and
-solver, and both are deterministic functions of the input matrix.
+(Bareiss-style growth control on sparse data).  One pivot rule serves every
+matrix: rows in natural order, each pivoting on its lexicographically first
+column, a deterministic function of the input matrix.
 
 Every pivot row is reduced against all earlier pivots before it is inserted,
 so pivot row k holds no pivot column of a pivot created before k.  On that
@@ -31,8 +25,6 @@ from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 from .rationals import _lines, _reader, format_rational, parse_rational, ratio
-
-DENSE_THRESHOLD = 200
 
 
 class SparseMatrix:
@@ -178,12 +170,11 @@ class Echelon:
     nothing.
     """
 
-    def __init__(self, cols: int, col_weight=None):
+    def __init__(self, cols: int):
         self.cols = cols
         self.pivots = []  # (pivot_col, row_dict) in creation order
         self.pivot_cols = {}  # pivot_col -> creation index
         self.uses = {}  # col -> creation indices of the pivot rows holding it
-        self.col_weight = col_weight  # None -> lexicographic pivot choice
 
     @property
     def rank(self) -> int:
@@ -232,18 +223,11 @@ class Echelon:
             _strip_gcd(row)
         return row
 
-    def _choose_pivot(self, row: dict) -> int:
-        eligible = [c for c in row if c < self.cols]
-        if self.col_weight is None:
-            return min(eligible)
-        weight = self.col_weight
-        return min(eligible, key=lambda c: (weight[c], c))
-
     def insert(self, reduced: dict) -> bool:
-        """Add an already-reduced row as a new pivot; False if rank-trivial."""
-        if not any(c < self.cols for c in reduced):
+        """Add a reduced row as a new pivot on its first column; False if rank-trivial."""
+        col = min((c for c in reduced if c < self.cols), default=None)
+        if col is None:
             return False
-        col = self._choose_pivot(reduced)
         if reduced[col] < 0:
             for c in reduced:
                 reduced[c] = -reduced[c]
@@ -299,33 +283,22 @@ class Echelon:
         return x
 
 
-def _build_echelon(matrix: SparseMatrix, extra_cols=()) -> Echelon:
-    """Eliminate all rows (plus per-row extra columns beyond matrix.cols)."""
+def _build_echelon(matrix: SparseMatrix, rhs_list=()) -> Echelon:
+    """Eliminate all rows in natural order; right-hand side t rides along as column cols + t."""
     cols = matrix.cols
-    int_rows = []
-    for r, row in enumerate(matrix.data):
-        full = dict(row)
-        for key, extra in extra_cols:
-            v = extra[r] if r < len(extra) else 0
-            if v:
-                full[key] = v
-        int_rows.append(_integer_row(full))
-    if cols < DENSE_THRESHOLD:
-        ech = Echelon(cols, col_weight=None)
-        order = range(len(int_rows))
-    else:
-        weight = [0] * cols
-        for row in int_rows:
-            for c in row:
-                if c < cols:
-                    weight[c] += 1
-        ech = Echelon(cols, col_weight=weight)
-        order = sorted(
-            range(len(int_rows)), key=lambda r: (len(int_rows[r]), r)
-        )
+    rows = matrix.data
+    if rhs_list:
+        rows = [dict(row) for row in rows]
+        for t, rhs in enumerate(rhs_list):
+            for r, v in rhs.items():
+                if not 0 <= r < matrix.rows:
+                    raise IndexError(f"rhs row {r} outside matrix")
+                if v:
+                    rows[r][cols + t] = v
+    ech = Echelon(cols)
     leftovers = []
-    for r in order:
-        row = int_rows[r]
+    for row in rows:
+        row = _integer_row(row)
         if not row:
             continue
         reduced = ech.reduce(row)
@@ -375,15 +348,7 @@ def solve_many(matrix: SparseMatrix, rhs_list) -> list:
     sides ride along the single elimination as extra columns.
     """
     cols = matrix.cols
-    extras = []
-    for t, rhs in enumerate(rhs_list):
-        dense = [0] * matrix.rows
-        for r, v in rhs.items():
-            if not 0 <= r < matrix.rows:
-                raise IndexError(f"rhs row {r} outside matrix")
-            dense[r] = v
-        extras.append((cols + t, dense))
-    ech = _build_echelon(matrix, extra_cols=extras)
+    ech = _build_echelon(matrix, rhs_list)
     solutions = []
     for t in range(len(rhs_list)):
         aug = cols + t

@@ -57,11 +57,11 @@ def _report(name: str, ok: bool, detail: str = ""):
 
 @pytest.fixture(scope="module")
 def sweep():
-    """Solver results for every (family, N <= 5, sign vector): 726 cases."""
+    """Solver results for every (family, N <= 6, sign vector): 2184 cases."""
     cases = [
         (family, n, signs)
         for family in ("su", "u")
-        for n in range(1, 6)
+        for n in range(1, 7)
         for signs in product("+-0", repeat=n)
     ]
     start = time.time()
@@ -80,14 +80,14 @@ def _zeros(omega_csv: str) -> tuple:
 
 def test_criterion_01_proposition41_su(sweep):
     bad = []
-    for n in range(1, 6):
+    for n in range(1, 7):
         for signs in product("+-0", repeat=n):
             rec = sweep[("su", n, ",".join(signs))]
             z = len(_zeros(rec["omega"]))
             if rec["dim_h2"] != z * (z + 1) // 2 or not rec["ok"]:
                 bad.append(rec)
     _report(
-        "1 Proposition 4.1 (su, 363 cases N<=5)",
+        "1 Proposition 4.1 (su, 1092 cases N<=6)",
         not bad,
         f"sweep of both families took {sweep['_elapsed']:.0f}s",
     )
@@ -95,13 +95,13 @@ def test_criterion_01_proposition41_su(sweep):
 
 def test_criterion_02_proposition41_u(sweep):
     bad = []
-    for n in range(1, 6):
+    for n in range(1, 7):
         for signs in product("+-0", repeat=n):
             rec = sweep[("u", n, ",".join(signs))]
             z = len(_zeros(rec["omega"]))
             if rec["dim_h2"] != z * (z + 3) // 2 or not rec["ok"]:
                 bad.append(rec)
-    _report("2 Proposition 4.1 (u, 363 cases N<=5)", not bad)
+    _report("2 Proposition 4.1 (u, 1092 cases N<=6)", not bad)
 
 
 def test_criterion_03_table41_golden():
@@ -127,17 +127,17 @@ def test_criterion_04_qc_extended_brackets():
 def test_criterion_05_whitehead(sweep):
     bad = []
     for family in ("su", "u"):
-        for n in range(1, 6):
+        for n in range(1, 7):
             for signs in product("+-", repeat=n):
                 rec = sweep[(family, n, ",".join(signs))]
                 if rec["dim_h2"] != 0:
                     bad.append(rec)
-    _report("5 Whitehead: dim H2 = 0 for all-nonzero omega, N<=5", not bad)
+    _report("5 Whitehead: dim H2 = 0 for all-nonzero omega, N<=6", not bad)
 
 
 def test_criterion_06_iu_pq_single_extension(sweep):
     bad = []
-    for n in range(1, 6):
+    for n in range(1, 7):
         for signs in product("+-0", repeat=n):
             zeros = tuple(k for k, s in enumerate(signs, start=1) if s == "0")
             if zeros not in ((1,), (n,)):

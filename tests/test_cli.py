@@ -211,7 +211,7 @@ def test_h2_small_n_golden_bytes(capsys, argv, golden):
     ],
 )
 def test_h2_n6_golden_bytes(capsys, argv, golden):
-    # N = 6 systems have >= 200 columns, so these reach the Markowitz regime
+    # byte goldens at N = 6, beyond the N = 3 ones: all-zero, mixed and all-nonzero rational omegas
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     with open(os.path.join(DATA, golden), "rb") as handle:

@@ -1,9 +1,17 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from ckcoh.algebra import LieAlgebra, build_su_omega, build_u_omega, jacobi_residual
+from ckcoh.algebra import (
+    LieAlgebra,
+    _bracket_index,
+    _characters,
+    build_su_omega,
+    build_u_omega,
+    jacobi_residual,
+)
 from ckcoh.cochains import OneCochain, TwoCochain, pair_count, pair_index, pair_list
 from ckcoh.cohomology import (
     NotACocycleError,
@@ -18,7 +26,8 @@ from ckcoh.cohomology import (
     is_cocycle,
 )
 from ckcoh.generators import CKBasis
-from ckcoh.sparse import matvec, nullspace, rank
+from ckcoh.omega import OmegaVector
+from ckcoh.sparse import SparseMatrix, matvec, nullspace, rank
 
 from dense_oracle import h2_dimensions_dense
 from random_algebras import random_algebra
@@ -200,6 +209,48 @@ def test_engine_matches_oracle_on_random_algebras():
         g = random_algebra(rng, max_dim=8)
         assert jacobi_residual(g) == 0
         assert h2_dimensions(g) == h2_dimensions_dense(g)
+
+
+def test_nonzero_characters_carry_no_cohomology():
+    # Z2_chi = B2_chi: for every block chi != 0 the cocycle nullity equals the
+    # rank of the coboundaries delta(e_k) with chi_k = chi
+    omegas = [",".join(s) for n in range(1, 5) for s in product("+-0", repeat=n)]
+    omegas += ["2/3,-1", "0,-1/2,0", "0,3/4,0,-2", "1/2,-3,2/5,7"]
+    blocks_checked = 0
+    for text in omegas:
+        omega = OmegaVector.parse(text)
+        for build in (build_su_omega, build_u_omega):
+            g = build(omega.n, omega)
+            r = g.dim
+            chars = _characters(g)
+            blocks = {}
+            for i, j in pair_list(r):
+                blocks.setdefault(chars[i] ^ chars[j], []).append((i, j))
+            into = _bracket_index(g)
+            for chi, pairs in blocks.items():
+                if not chi:
+                    continue
+                nullity = len(pairs) - rank(cocycle_system(g, pairs))
+                rows = [
+                    {pair_index(r, p, q): c for p, q, c in into[k]}
+                    for k in sorted(into)
+                    if chars[k] == chi
+                ]
+                image = SparseMatrix(len(rows), pair_count(r))
+                image.data[:] = rows
+                assert nullity == rank(image), (text, g.family, chi)
+                blocks_checked += 1
+    assert blocks_checked == 2948
+
+
+def test_ck_metadata_on_another_table_is_solved_as_one_block():
+    # a CK header over an empty (abelian) table: the sign characters must not
+    # be trusted, or only the 9 character-0 pairs would be counted
+    g = LieAlgebra.from_text("15 3 su 1 1 1\n")
+    assert g.is_ck() and not g.constants
+    assert _characters(g) == [0] * 15
+    assert h2_dimensions(g) == (105, 0, 105)
+    assert len(h2(g).representatives) == 105
 
 
 def test_h2_rejects_non_lie_input():

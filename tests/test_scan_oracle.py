@@ -19,14 +19,7 @@ from ckcoh.cochains import TwoCochain, pair_list
 from ckcoh.cohomology import are_coboundaries, cocycle_defect, cocycle_system, h2
 from ckcoh.omega import OmegaVector, sign_vectors
 from ckcoh.rationals import ratio
-from ckcoh.sparse import (
-    DENSE_THRESHOLD,
-    SparseMatrix,
-    _build_echelon,
-    matvec,
-    nullspace,
-    solve_many,
-)
+from ckcoh.sparse import SparseMatrix, _build_echelon, matvec, nullspace, solve_many
 
 from random_algebras import random_algebra
 from scan_oracle import (
@@ -70,7 +63,7 @@ def _random_matrices():
         rows, cols = rng.randint(5, 40), rng.randint(5, 60)
         out.append(_random_matrix(rng, rows, cols, rng.randint(1, 6)))
     for _ in range(4):
-        cols = rng.randint(DENSE_THRESHOLD, DENSE_THRESHOLD + 60)
+        cols = rng.randint(200, 260)
         out.append(_random_matrix(rng, rng.randint(60, 220), cols, rng.randint(2, 6)))
     return out
 

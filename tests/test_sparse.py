@@ -102,7 +102,7 @@ def test_deterministic_output():
 
 
 def test_large_column_regime_uses_same_contract():
-    # above the dense threshold (>= 200 columns) the sparse pivoting kicks in
+    # a wide matrix (250 columns, 40 rows): most columns are free
     rng = random.Random(1)
     m = SparseMatrix(40, 250)
     for r in range(40):
