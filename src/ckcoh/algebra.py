@@ -26,6 +26,7 @@ from the nonzero values on pairs through the brackets indexed by target.
 from __future__ import annotations
 
 import json
+from math import comb
 
 from .generators import CKBasis, check_family, delta_selector
 from .omega import OmegaVector
@@ -33,14 +34,20 @@ from .rationals import Scalar, _lines, _reader, format_rational, parse_rational,
 
 
 class LieAlgebra:
-    """Immutable sparse structure-constant tensor over exact rationals."""
+    """Immutable sparse structure-constant tensor over exact rationals.
 
-    __slots__ = ("dim", "constants", "family", "omega", "names")
+    Set once when it is made: `_into`, the bracket index by target generator
+    (k -> [(p, q, C_pq^k)] in table order), and `_chars`, the sign characters,
+    all zero (one block) unless `_build_ck` wrote the table.
+    """
+
+    __slots__ = ("dim", "constants", "family", "omega", "names", "_into", "_chars")
 
     def __init__(self, dim, constants, family=None, omega=None, names=None):
         if dim < 1:
             raise ValueError("dimension must be positive")
         table = {}
+        into = {}
         for (i, j), entries in constants.items():
             if not 0 <= i < j < dim:
                 raise ValueError(f"bad generator pair ({i},{j}) for dim {dim}")
@@ -54,11 +61,15 @@ class LieAlgebra:
             if cleaned:
                 cleaned.sort()
                 table[(i, j)] = tuple(cleaned)
+                for k, c in cleaned:
+                    into.setdefault(k, []).append((i, j, c))
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "constants", table)
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "names", tuple(names) if names else None)
+        object.__setattr__(self, "_into", into)
+        object.__setattr__(self, "_chars", [0] * dim)
 
     def __setattr__(self, name, value):
         raise AttributeError("LieAlgebra is immutable")
@@ -154,8 +165,7 @@ class LieAlgebra:
                 raise ValueError(f"bad constant line: {line!r}")
             i, j, k = int(toks[0]), int(toks[1]), int(toks[2])
             table.setdefault((i, j), []).append((k, parse_rational(toks[3])))
-        names = _ck_names(dim, family, omega) if family else None
-        return cls(dim, table, family=family, omega=omega, names=names)
+        return _from_table(cls, dim, table, family, omega)
 
     def to_json_obj(self) -> dict:
         obj = {
@@ -181,28 +191,31 @@ class LieAlgebra:
         table = {}
         for i, j, k, val in obj["constants"]:
             table.setdefault((i, j), []).append((k, parse_rational(val)))
-        names = _ck_names(obj["dim"], family, omega) if family else None
-        return cls(obj["dim"], table, family=family, omega=omega, names=names)
+        return _from_table(cls, obj["dim"], table, family, omega)
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj(), indent=2, sort_keys=True) + "\n"
 
 
-def _ck_names(dim: int, family: str, omega: OmegaVector) -> tuple[str, ...]:
-    """Generator names for a Cayley-Klein header whose dim fits family and N."""
+def _from_table(cls, dim: int, table: dict, family, omega) -> LieAlgebra:
+    """The algebra read; under a CK header, the builder's own when the tables agree.
+
+    The header's dim must fit the family and N.  Any other table under it gets
+    zero characters, so `h2` checks Jacobi and solves it whole.  The CK table
+    has the 4 unit brackets [J_ab,J_bc], [M_ab,M_bc], [J_ab,M_bc], [J_bc,M_ab]
+    for every a < b < c, so a shorter table is not rebuilt: the cost of a read
+    follows its input, not the N of its header.
+    """
+    if not family:
+        return cls(dim, table)
     basis = CKBasis(omega.n, family)
     if dim != basis.dim:
         raise ValueError(f"header says dim {dim} but {family} N={omega.n} has dim {basis.dim}")
-    return basis.names()
-
-
-def _bracket_index(algebra: LieAlgebra) -> dict:
-    """Generator k -> every (p, q, C_pq^k) with p < q and C_pq^k != 0."""
-    into = {}
-    for (p, q), entries in algebra.constants.items():
-        for k, c in entries:
-            into.setdefault(k, []).append((p, q, c))
-    return into
+    read = cls(dim, table, family=family, omega=omega, names=basis.names())
+    if len(read.constants) < 4 * comb(omega.n + 1, 3):
+        return read
+    built = _build_ck(omega.n, omega, family)
+    return built if read == built else read
 
 
 def _cyclic_terms(into: dict, a: int, b: int):
@@ -212,7 +225,7 @@ def _cyclic_terms(into: dict, a: int, b: int):
     over the cyclic arrangements (p, q, w) of the triple.  So f(a, b), read
     also as -f(b, a), enters the triple {p, q, w} of each bracket with a
     component along its first index, with coefficient +-C_pq^k (the parity of
-    (p, q, w) against the sorted triple).  `into` is `_bracket_index`.
+    (p, q, w) against the sorted triple).  `into` is `LieAlgebra._into`.
     """
     for k, w, sign in ((a, b, 1), (b, a, -1)):
         for p, q, c in into.get(k, ()):
@@ -231,10 +244,9 @@ def jacobi_residual(algebra: LieAlgebra) -> Scalar:
 
     The cyclic sum of f = the bracket itself, one sum per (triple, component).
     """
-    into = _bracket_index(algebra)
     sums = {}
     for (a, b), entries in algebra.constants.items():
-        for triple, coef in _cyclic_terms(into, a, b):
+        for triple, coef in _cyclic_terms(algebra._into, a, b):
             for m, d in entries:
                 key = (triple, m)
                 sums[key] = sums.get(key, 0) + coef * d
@@ -289,30 +301,18 @@ def _build_ck(N: int, omega, family: str) -> LieAlgebra:
     if omega.n != N:
         raise ValueError(f"omega has {omega.n} entries, expected N={N}")
     basis = CKBasis(N, family)
-    return LieAlgebra(
+    algebra = LieAlgebra(
         basis.dim,
         _ck_structure(basis, omega),
         family=family,
         omega=omega,
         names=basis.names(),
     )
-
-
-def _characters(algebra: LieAlgebra) -> list[int]:
-    """Bit mask per generator: sigma_S, S a subset of {0..N}, scales it by (-1)^|S & mask|.
-
-    The mask is e_a + e_b on J_ab and M_ab and 0 on B_l and I.  An algebra
-    that is not exactly the CK algebra its metadata names gets all zeros (one
-    block); telling them apart rebuilds that algebra (1.5 ms at N = 6 on a
-    2-core x86-64 host).
-    """
-    chars = [0] * algebra.dim
-    if not algebra.is_ck() or _build_ck(algebra.omega.n, algebra.omega, algebra.family) != algebra:
-        return chars
-    basis = algebra.ck_basis()
+    # sigma_S, S a subset of {0..N}, scales a generator of mask chi by
+    # (-1)^|S & chi|: e_a + e_b on J_ab and M_ab, 0 on B_l and I
     for a, b in basis.index_pairs():
-        chars[basis.j(a, b)] = chars[basis.m(a, b)] = (1 << a) | (1 << b)
-    return chars
+        algebra._chars[basis.j(a, b)] = algebra._chars[basis.m(a, b)] = (1 << a) | (1 << b)
+    return algebra
 
 
 def build_su_omega(N: int, omega) -> LieAlgebra:

@@ -36,6 +36,8 @@ class TwoCochain:
         self.dim = dim
         table = {}
         for (i, j), v in (entries or {}).items():
+            if not (0 <= i < dim and 0 <= j < dim):
+                raise IndexError(f"pair ({i},{j}) out of range for dim {dim}")
             v = ratio(v)
             if v == 0:
                 continue
@@ -45,8 +47,6 @@ class TwoCochain:
                 table[(i, j)] = v
             else:
                 table[(j, i)] = -v
-            if not 0 <= min(i, j) < max(i, j) < dim:
-                raise IndexError(f"pair ({i},{j}) out of range for dim {dim}")
         self.entries = table
 
     def get(self, i: int, j: int):

@@ -16,16 +16,17 @@ and representatives of H2 are kernel basis vectors completing a basis of the
 coboundary image inside the cocycle space.
 
 Only the character-0 block is solved.  The sign maps sigma_S of a CK algebra
-scale each generator by a character (`algebra._characters`) that brackets
-respect, so the system and the coboundary image split into blocks of pair
-character chi_i + chi_j.  Each sigma_S is exp(pi ad X) with X in span(B_l),
-since ad(B_l) rotates every (J_ab, M_ab) plane, and such an automorphism acts
-trivially on H2 (Hochschild and Serre, Ann. Math. 57, 1953).  A class of
-character chi != 0 is negated by some sigma_S, so
+scale each generator by a character (`LieAlgebra._chars`, set when a builder
+makes it) that brackets respect, so the system and the coboundary image split
+into blocks of pair character chi_i + chi_j.  Each sigma_S is exp(pi ad X)
+with X in span(B_l), since ad(B_l) rotates every (J_ab, M_ab) plane, and such
+an automorphism acts trivially on H2 (Hochschild and Serre, Ann. Math. 57,
+1953).  A class of character chi != 0 is negated by some sigma_S, so
 
     Z2_chi = B2_chi for every chi != 0:
 
-all of H2 lives in block 0.  Any other algebra is one block.
+all of H2 lives in block 0.  Any other algebra has zero characters, is one
+block, and must pass the Jacobi check; a builder's table is Lie by design.
 
 The condition is the Jacobi sum with xi in place of the bracket, so
 `cocycle_system`, `cocycle_defect` and `jacobi_residual` share one walk,
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebra import LieAlgebra, _bracket_index, _characters, _cyclic_terms, jacobi_residual
+from .algebra import LieAlgebra, _cyclic_terms, jacobi_residual
 from .cochains import OneCochain, TwoCochain, pair_count, pair_index, pair_list
 from .rationals import ratio
 from .sparse import Echelon, SparseMatrix, _integer_row, nullspace, rank, solve_many
@@ -57,10 +58,9 @@ def cocycle_system(algebra: LieAlgebra, pairs=None) -> SparseMatrix:
     r = algebra.dim
     if pairs is None:
         pairs = pair_list(r)
-    into = _bracket_index(algebra)
     by_triple = {}
     for col, (a, b) in enumerate(pairs):
-        for triple, coef in _cyclic_terms(into, a, b):
+        for triple, coef in _cyclic_terms(algebra._into, a, b):
             row = by_triple.setdefault(triple, {})
             v = row.pop(col, 0) + coef
             if v:
@@ -106,10 +106,9 @@ def cocycle_defect(algebra: LieAlgebra, xi: TwoCochain):
     """
     if xi.dim != algebra.dim:
         raise ValueError("cochain dimension does not match the algebra")
-    into = _bracket_index(algebra)
     sums = {}
     for (a, b), v in xi.entries.items():
-        for triple, coef in _cyclic_terms(into, a, b):
+        for triple, coef in _cyclic_terms(algebra._into, a, b):
             sums[triple] = sums.get(triple, 0) + coef * v
     return ratio(max(map(abs, sums.values()), default=0))
 
@@ -144,7 +143,7 @@ class CohomologyResult:
     representatives: list[TwoCochain] = field(default_factory=list)
 
 
-def h2(algebra: LieAlgebra, representatives: bool = True, check: bool = True) -> CohomologyResult:
+def h2(algebra: LieAlgebra, representatives: bool = True) -> CohomologyResult:
     """Full second cohomology: dimensions and (optionally) representatives.
 
     On the character-0 block, dim H2 = nullity - rank of its coboundaries,
@@ -152,14 +151,14 @@ def h2(algebra: LieAlgebra, representatives: bool = True, check: bool = True) ->
     basis vectors, taken in canonical order and kept exactly when independent
     of the coboundary image plus the representatives already chosen.
     """
-    if check and jacobi_residual(algebra) != 0:
+    chars = algebra._chars
+    if not any(chars) and jacobi_residual(algebra) != 0:
         raise ValueError("not a Lie algebra: nonzero Jacobi residual")
     r = algebra.dim
-    chars = _characters(algebra)
     block = [(i, j) for i, j in pair_list(r) if chars[i] == chars[j]]
     system = cocycle_system(algebra, block)
     image = Echelon(pair_count(r))
-    into = _bracket_index(algebra)
+    into = algebra._into
     rank_0 = 0
     for k in sorted(into):  # delta(e_k) lies in block chars[k]; blocks never mix
         if image.absorb(_integer_row({pair_index(r, p, q): c for p, q, c in into[k]})):
@@ -179,9 +178,9 @@ def h2(algebra: LieAlgebra, representatives: bool = True, check: bool = True) ->
     return CohomologyResult(dim_b2 + dim_h2, dim_b2, dim_h2, reps)
 
 
-def h2_dimensions(algebra: LieAlgebra, check: bool = True) -> tuple[int, int, int]:
+def h2_dimensions(algebra: LieAlgebra) -> tuple[int, int, int]:
     """(dim Z2, dim B2, dim H2) without computing representatives."""
-    res = h2(algebra, representatives=False, check=check)
+    res = h2(algebra, representatives=False)
     return res.dim_Z2, res.dim_B2, res.dim_H2
 
 

@@ -456,7 +456,7 @@ def verify_theorem(
     cls = classify(family, N, omega)
     build = build_su_omega if family == "su" else build_u_omega
     algebra = build(N, omega)
-    result = h2(algebra, representatives=representatives, check=False)
+    result = h2(algebra, representatives=representatives)
     canonical = [
         (f"α_{k}", BasicCoefficients(alpha={k: 1}), omega.omega(k) != 0)
         for k in range(1, N + 1)

@@ -125,18 +125,17 @@ def polarity_map(N: int, family: str = "su") -> SignedPermutation:
 def involution_automorphism(algebra: LieAlgebra, subset) -> SignedPermutation:
     """Sign map (-1)^{chi_S(a)+chi_S(b)} on J_ab, M_ab; +1 on B_l (and I).
 
+    The sign is (-1)^|S & chi| over the sign characters `LieAlgebra._chars`.
     Verified to preserve every bracket before being returned.
     """
-    basis = algebra.ck_basis()
+    if not any(algebra._chars):
+        raise ValueError("no sign characters: not an algebra the CK builders made")
     subset = frozenset(subset)
-    if any(not 0 <= s <= basis.N for s in subset):
-        raise ValueError(f"subset must lie in 0..{basis.N}")
-    signs = [1] * basis.dim
-    for a, b in basis.index_pairs():
-        sign = (-1) ** ((a in subset) + (b in subset))
-        signs[basis.j(a, b)] = sign
-        signs[basis.m(a, b)] = sign
-    mapping = SignedPermutation(range(basis.dim), signs)
+    if any(not 0 <= s <= algebra.omega.n for s in subset):
+        raise ValueError(f"subset must lie in 0..{algebra.omega.n}")
+    mask = sum(1 << s for s in subset)
+    signs = [(-1) ** (chi & mask).bit_count() for chi in algebra._chars]
+    mapping = SignedPermutation(range(algebra.dim), signs)
     if transport_constants(algebra, mapping) != algebra:
         raise AssertionError(f"involution for S={sorted(subset)} broke a bracket")
     return mapping

@@ -5,12 +5,43 @@ cocycle system, with no use of the sign characters.  Its body is the one
 `cohomology.h2` had before that function solved block 0 only; it calls the
 library's `cocycle_system`, `nullspace` and `rank`, so the tests compare the
 two ways of cutting the same elimination, dims and representatives alike.
+
+`_bracket_index` and `_characters` rebuild what `LieAlgebra._into` and
+`LieAlgebra._chars` hold: the bracket index from the table, and the sign
+characters from the CK formulas, trusted only when the table matches them.
+`full_h2` walks its own index, so the oracle does not lean on `_into`.
 """
 
-from ckcoh.algebra import _bracket_index, jacobi_residual
+from ckcoh.algebra import LieAlgebra, _build_ck, jacobi_residual
 from ckcoh.cochains import TwoCochain, pair_count, pair_index
 from ckcoh.cohomology import CohomologyResult, cocycle_system
 from ckcoh.sparse import Echelon, _integer_row, nullspace, rank
+
+
+def _bracket_index(algebra: LieAlgebra) -> dict:
+    """Generator k -> every (p, q, C_pq^k) with p < q and C_pq^k != 0."""
+    into = {}
+    for (p, q), entries in algebra.constants.items():
+        for k, c in entries:
+            into.setdefault(k, []).append((p, q, c))
+    return into
+
+
+def _characters(algebra: LieAlgebra) -> list[int]:
+    """Bit mask per generator: sigma_S, S a subset of {0..N}, scales it by (-1)^|S & mask|.
+
+    The mask is e_a + e_b on J_ab and M_ab and 0 on B_l and I.  An algebra
+    that is not exactly the CK algebra its metadata names gets all zeros (one
+    block); telling them apart rebuilds that algebra (1.5 ms at N = 6 on a
+    2-core x86-64 host).
+    """
+    chars = [0] * algebra.dim
+    if not algebra.is_ck() or _build_ck(algebra.omega.n, algebra.omega, algebra.family) != algebra:
+        return chars
+    basis = algebra.ck_basis()
+    for a, b in basis.index_pairs():
+        chars[basis.j(a, b)] = chars[basis.m(a, b)] = (1 << a) | (1 << b)
+    return chars
 
 
 def full_h2(algebra, representatives: bool = True, check: bool = True) -> CohomologyResult:

@@ -230,13 +230,13 @@ def test_criterion_11_oracle_equivalence():
     rng = random.Random(31415)
     for i in range(50):
         g = random_algebra(rng, max_dim=10)
-        if h2_dimensions(g, check=False) != oracle.h2_dimensions_dense(g):
+        if h2_dimensions(g) != oracle.h2_dimensions_dense(g):
             bad.append(("random", i))
     for family, build in (("su", build_su_omega), ("u", build_u_omega)):
         for n in range(1, 4):
             for om in sign_vectors(n):
                 g = build(n, om)
-                if h2_dimensions(g, check=False) != oracle.h2_dimensions_dense(g):
+                if h2_dimensions(g) != oracle.h2_dimensions_dense(g):
                     bad.append((family, tuple(om)))
     _report(
         "11 dense pivot-free oracle agreement (50 random + CK N<=3)", not bad

@@ -4,14 +4,8 @@ from itertools import product
 
 import pytest
 
-from ckcoh.algebra import (
-    LieAlgebra,
-    _bracket_index,
-    _characters,
-    build_su_omega,
-    build_u_omega,
-    jacobi_residual,
-)
+import ckcoh.algebra
+from ckcoh.algebra import LieAlgebra, build_su_omega, build_u_omega, jacobi_residual
 from ckcoh.cochains import OneCochain, TwoCochain, pair_count, pair_index, pair_list
 from ckcoh.cohomology import (
     NotACocycleError,
@@ -222,11 +216,11 @@ def test_nonzero_characters_carry_no_cohomology():
         for build in (build_su_omega, build_u_omega):
             g = build(omega.n, omega)
             r = g.dim
-            chars = _characters(g)
+            chars = g._chars
             blocks = {}
             for i, j in pair_list(r):
                 blocks.setdefault(chars[i] ^ chars[j], []).append((i, j))
-            into = _bracket_index(g)
+            into = g._into
             for chi, pairs in blocks.items():
                 if not chi:
                     continue
@@ -248,9 +242,42 @@ def test_ck_metadata_on_another_table_is_solved_as_one_block():
     # be trusted, or only the 9 character-0 pairs would be counted
     g = LieAlgebra.from_text("15 3 su 1 1 1\n")
     assert g.is_ck() and not g.constants
-    assert _characters(g) == [0] * 15
+    assert g._chars == [0] * 15
     assert h2_dimensions(g) == (105, 0, 105)
     assert len(h2(g).representatives) == 105
+
+
+def test_ck_header_over_a_non_lie_table_is_checked():
+    # the header names su_w(2) with w = 1 over the non-Lie table below: it gets
+    # no sign characters, so h2 runs the Jacobi check and refuses it
+    g = LieAlgebra.from_text("3 1 su 1\n0 1 2 1\n0 2 0 1\n")
+    assert g.is_ck() and g._chars == [0] * 3
+    with pytest.raises(ValueError):
+        h2(g)
+
+
+def test_the_ck_table_is_built_once_per_verify_theorem(monkeypatch):
+    from ckcoh.extensions import verify_theorem
+
+    calls = []
+    build_table = ckcoh.algebra._ck_structure
+
+    def counted(basis, omega):
+        calls.append((basis.family, basis.N))
+        return build_table(basis, omega)
+
+    monkeypatch.setattr(ckcoh.algebra, "_ck_structure", counted)
+    assert verify_theorem("u", 3, OmegaVector.parse("0,+,0")).ok
+    assert calls == [("u", 3)]
+    g = build_su_omega(3, [1, 0, -1])
+    calls.clear()
+    h2(g)
+    assert calls == []
+    # a header over a table shorter than any CK one is read without a rebuild
+    plain = LieAlgebra.from_text("1681 40 u " + "1 " * 40 + "\n0 1 2 1\n")
+    assert calls == [] and plain._chars == [0] * 1681
+    assert LieAlgebra.from_text(g.to_text())._chars == g._chars
+    assert calls == [("su", 3)]
 
 
 def test_h2_rejects_non_lie_input():
@@ -259,6 +286,18 @@ def test_h2_rejects_non_lie_input():
     assert jacobi_residual(broken) != 0
     with pytest.raises(ValueError):
         h2(broken)
+
+
+def test_cochain_pairs_are_range_checked_before_zeros_are_dropped():
+    with pytest.raises(IndexError):
+        TwoCochain(3, {(5, 7): 0})
+    with pytest.raises(IndexError):
+        OneCochain(3, {9: 0})
+    with pytest.raises(ValueError):
+        TwoCochain.from_text("dim 3\n5 7 0\n")
+    with pytest.raises(ValueError):
+        TwoCochain(3, {(1, 1): 2})
+    assert TwoCochain(3, {(1, 1): 0, (2, 0): 0, (2, 1): 3}).entries == {(1, 2): -3}
 
 
 def test_cochain_round_trips():

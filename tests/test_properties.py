@@ -36,7 +36,7 @@ def test_formula_agreement_n_le_3():
     for family, build in (("su", build_su_omega), ("u", build_u_omega)):
         for n in range(1, 4):
             for om in sign_vectors(n):
-                res = h2(build(n, om), check=False)
+                res = h2(build(n, om))
                 assert res.dim_H2 == dim_h2_formula(family, om), (family, tuple(om))
                 assert res.dim_H2 == res.dim_Z2 - res.dim_B2 >= 0
                 assert len(res.representatives) == res.dim_H2
@@ -61,5 +61,5 @@ def test_representatives_never_coboundaries_n_le_3():
         for n in range(1, 4):
             for om in sign_vectors(n):
                 g = build(n, om)
-                for rep in h2(g, check=False).representatives:
+                for rep in h2(g).representatives:
                     assert is_coboundary(g, rep, assume_cocycle=True) is None
