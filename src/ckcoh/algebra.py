@@ -58,8 +58,14 @@ class LieAlgebra:
                 c = ratio(c)
                 if c != 0:
                     cleaned.append((k, c))
-            if cleaned:
+            if len(cleaned) > 1:
                 cleaned.sort()
+                merged = {}  # a repeated target gets the sum of its coefficients
+                for k, c in cleaned:
+                    merged[k] = merged.get(k, 0) + c
+                if len(merged) < len(cleaned):
+                    cleaned = [(k, ratio(c)) for k, c in merged.items() if c != 0]
+            if cleaned:
                 table[(i, j)] = tuple(cleaned)
                 for k, c in cleaned:
                     into.setdefault(k, []).append((i, j, c))

@@ -28,6 +28,11 @@ an automorphism acts trivially on H2 (Hochschild and Serre, Ann. Math. 57,
 all of H2 lives in block 0.  Any other algebra has zero characters, is one
 block, and must pass the Jacobi check; a builder's table is Lie by design.
 
+The coboundary matrix is block-diagonal by character too: delta(e_k) lies
+only on pairs of character chi_k.  So `are_coboundaries` solves only the
+blocks its cochains touch: on every other block the right-hand side is zero
+and mu = 0 there, which is what the whole solve gives, key order included.
+
 The condition is the Jacobi sum with xi in place of the bracket, so
 `cocycle_system`, `cocycle_defect` and `jacobi_residual` share one walk,
 `algebra._cyclic_terms`, and the image rows delta(e_k) are its bracket index.
@@ -73,14 +78,17 @@ def cocycle_system(algebra: LieAlgebra, pairs=None) -> SparseMatrix:
     return matrix
 
 
-def coboundary_matrix(algebra: LieAlgebra) -> SparseMatrix:
-    """Matrix of mu -> delta(mu): rows = pairs (i, j), columns = generators."""
-    r = algebra.dim
-    matrix = SparseMatrix(pair_count(r), r)
-    for (i, j), entries in algebra.constants.items():
-        row = matrix.data[pair_index(r, i, j)]
-        for k, c in entries:
-            row[k] = c
+def coboundary_matrix(algebra: LieAlgebra, pairs=None) -> SparseMatrix:
+    """Matrix of mu -> delta(mu): columns = generators, one row per pair.
+
+    One row per pair (i, j) of `pairs`, in that order (default: all r(r-1)/2
+    pairs i < j, lexicographic); row (i, j) holds C_ij^k in column k.
+    """
+    if pairs is None:
+        pairs = pair_list(algebra.dim)
+    constants = algebra.constants
+    matrix = SparseMatrix(len(pairs), algebra.dim)
+    matrix.data[:] = [dict(constants.get(pair, ())) for pair in pairs]
     return matrix
 
 
@@ -197,13 +205,28 @@ def is_coboundary(
 
 
 def are_coboundaries(algebra: LieAlgebra, cochains, assume_cocycle: bool = False):
-    """Batched is_coboundary: one elimination for many candidate cocycles."""
+    """Batched is_coboundary: one elimination for many candidate cocycles.
+
+    Only the blocks the cochains touch are solved: the rows of the pairs
+    whose character chi_i ^ chi_j some cochain entry carries, lexicographic.
+    Of those, a pair with no bracket is kept only when a cochain has an entry
+    on it (its row is then the inconsistent 0 = xi_ij).  Every other block
+    has a zero right-hand side and mu = 0 on its generators, which is what
+    the whole solve gives there, so the result is the same.
+    """
     if not assume_cocycle:
         for xi in cochains:
             if cocycle_defect(algebra, xi) != 0:
                 raise NotACocycleError("a cochain is not a two-cocycle")
-    matrix = coboundary_matrix(algebra)
+    chars = algebra._chars
+    rows = {pair for xi in cochains for pair in xi.entries}
+    touched = {chars[i] ^ chars[j] for i, j in rows}
+    rows.update(p for p in algebra.constants if chars[p[0]] ^ chars[p[1]] in touched)
+    pairs = sorted(rows)
+    row_of = {pair: n for n, pair in enumerate(pairs)}
+    matrix = coboundary_matrix(algebra, pairs)
+    rhs_list = [{row_of[pair]: v for pair, v in xi.entries.items()} for xi in cochains]
     out = []
-    for sol in solve_many(matrix, [xi.to_vector() for xi in cochains]):
+    for sol in solve_many(matrix, rhs_list):
         out.append(None if sol is None else OneCochain(algebra.dim, sol))
     return out

@@ -120,11 +120,12 @@ def _integer_row(row: dict) -> dict:
         return {}
     denom = 1
     for v in row.values():
-        if isinstance(v, Fraction):
+        # `type is int` first: isinstance against Fraction goes through ABCMeta
+        if type(v) is not int and isinstance(v, Fraction):
             denom = lcm(denom, v.denominator)
     out = {}
     for c, v in row.items():
-        iv = int(v * denom) if denom != 1 or isinstance(v, Fraction) else v
+        iv = v if denom == 1 and type(v) is int else int(v * denom)
         if iv:
             out[c] = iv
     if not out:

@@ -10,12 +10,16 @@ two ways of cutting the same elimination, dims and representatives alike.
 `LieAlgebra._chars` hold: the bracket index from the table, and the sign
 characters from the CK formulas, trusted only when the table matches them.
 `full_h2` walks its own index, so the oracle does not lean on `_into`.
+
+`full_are_coboundaries` is the body `cohomology.are_coboundaries` had before
+that function solved only the blocks its cochains touch: it eliminates the
+whole C(r,2) x r coboundary matrix, built by `full_coboundary_matrix`.
 """
 
 from ckcoh.algebra import LieAlgebra, _build_ck, jacobi_residual
-from ckcoh.cochains import TwoCochain, pair_count, pair_index
-from ckcoh.cohomology import CohomologyResult, cocycle_system
-from ckcoh.sparse import Echelon, _integer_row, nullspace, rank
+from ckcoh.cochains import OneCochain, TwoCochain, pair_count, pair_index
+from ckcoh.cohomology import CohomologyResult, NotACocycleError, cocycle_defect, cocycle_system
+from ckcoh.sparse import Echelon, SparseMatrix, _integer_row, nullspace, rank, solve_many
 
 
 def _bracket_index(algebra: LieAlgebra) -> dict:
@@ -68,3 +72,27 @@ def full_h2(algebra, representatives: bool = True, check: bool = True) -> Cohomo
     if len(reps) != result.dim_H2:
         raise AssertionError("representative extension lost independence")
     return result
+
+
+def full_coboundary_matrix(algebra: LieAlgebra) -> SparseMatrix:
+    """Matrix of mu -> delta(mu): rows = pairs (i, j), columns = generators."""
+    r = algebra.dim
+    matrix = SparseMatrix(pair_count(r), r)
+    for (i, j), entries in algebra.constants.items():
+        row = matrix.data[pair_index(r, i, j)]
+        for k, c in entries:
+            row[k] = c
+    return matrix
+
+
+def full_are_coboundaries(algebra: LieAlgebra, cochains, assume_cocycle: bool = False):
+    """Batched is_coboundary: one elimination for many candidate cocycles."""
+    if not assume_cocycle:
+        for xi in cochains:
+            if cocycle_defect(algebra, xi) != 0:
+                raise NotACocycleError("a cochain is not a two-cocycle")
+    matrix = full_coboundary_matrix(algebra)
+    out = []
+    for sol in solve_many(matrix, [xi.to_vector() for xi in cochains]):
+        out.append(None if sol is None else OneCochain(algebra.dim, sol))
+    return out

@@ -183,3 +183,19 @@ def test_ck_header_dim_must_match_family_and_n(family, n, dim):
     obj["dim"] = dim
     with pytest.raises(ValueError, match=f"header says dim {dim}"):
         LieAlgebra.from_json_obj(obj)
+
+
+def test_repeated_targets_within_a_pair_are_summed():
+    twice = LieAlgebra(3, {(0, 1): [(2, 1), (1, Fraction(1, 2)), (2, 1)]})
+    once = LieAlgebra(3, {(0, 1): [(1, Fraction(1, 2)), (2, 2)]})
+    assert twice == once
+    assert twice.constants == {(0, 1): ((1, Fraction(1, 2)), (2, 2))}
+    assert twice.to_text() == once.to_text() == "3 - -\n0 1 1 1/2\n0 1 2 2\n"
+    assert twice._into == once._into == {1: [(0, 1, Fraction(1, 2))], 2: [(0, 1, 2)]}
+    # halves that add up to an integer are held as an int, like any constant
+    assert LieAlgebra(3, {(0, 1): [(2, Fraction(1, 2)), (2, Fraction(1, 2))]}).constants == {
+        (0, 1): ((2, 1),)
+    }
+    cancelled = LieAlgebra(3, {(0, 1): [(2, 1), (2, -1)]})
+    assert cancelled.constants == {} and cancelled._into == {}
+    assert cancelled == LieAlgebra(3, {})

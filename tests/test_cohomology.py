@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 
 import ckcoh.algebra
+import ckcoh.cohomology
 from ckcoh.algebra import LieAlgebra, build_su_omega, build_u_omega, jacobi_residual
 from ckcoh.cochains import OneCochain, TwoCochain, pair_count, pair_index, pair_list
 from ckcoh.cohomology import (
@@ -19,6 +20,7 @@ from ckcoh.cohomology import (
     is_coboundary,
     is_cocycle,
 )
+from ckcoh.extensions import verify_theorem
 from ckcoh.generators import CKBasis
 from ckcoh.omega import OmegaVector
 from ckcoh.sparse import SparseMatrix, matvec, nullspace, rank
@@ -308,3 +310,44 @@ def test_cochain_round_trips():
     assert TwoCochain.from_text(xi.to_text()) == xi
     assert TwoCochain.from_json_obj(json.loads(xi.to_json())) == xi
     assert TwoCochain.from_vector(5, xi.to_vector()) == xi
+
+
+def test_are_coboundaries_solves_only_the_touched_blocks(monkeypatch):
+    # rows passed to the solver; the whole coboundary matrix has C(r, 2) rows
+    seen = []
+    solve = ckcoh.cohomology.solve_many
+
+    def spy(matrix, rhs_list):
+        seen.append(matrix.rows)
+        return solve(matrix, rhs_list)
+
+    monkeypatch.setattr(ckcoh.cohomology, "solve_many", spy)
+    # the canonical cocycles lie in block 0: at N = 6 its pairs are the 21
+    # (J_ab, M_ab) and the C(6, 2) pairs of B_1..B_6, or in u the C(7, 2) of B_1..B_6, I
+    assert verify_theorem("su", 6, OmegaVector.parse("+,+,+,+,+,+")).ok
+    assert len(seen) == 1 and 0 < seen[0] <= 36
+    seen.clear()
+    assert verify_theorem("u", 6, OmegaVector.parse("0,+,0,+,0,+")).ok
+    assert len(seen) == 1 and 0 < seen[0] <= 42
+    seen.clear()
+    # delta(mu) with mu on J_01 alone lies in the block of character 0b11
+    g = build_su_omega(3, [1, 0, -1])
+    j01 = g.ck_basis().j(0, 1)
+    mu = OneCochain(g.dim, {j01: 3})
+    assert is_coboundary(g, delta(g, mu)) == mu
+    chars = g._chars
+    assert chars[j01] == 0b11
+    assert 0 < seen[0] <= sum(chars[i] ^ chars[j] == 0b11 for i, j in pair_list(g.dim))
+
+
+def test_coboundary_matrix_rows_follow_the_pairs_given():
+    rng = random.Random(4)
+    for g in (build_su_omega(2, [0, 1]), build_u_omega(3, [1, 0, -1]), random_algebra(rng, 7)):
+        full = coboundary_matrix(g)
+        assert (full.rows, full.cols) == (pair_count(g.dim), g.dim)
+        pairs = rng.sample(pair_list(g.dim), 10)
+        part = coboundary_matrix(g, pairs)
+        assert (part.rows, part.cols) == (len(pairs), g.dim)
+        want = [full.data[pair_index(g.dim, i, j)] for i, j in pairs]
+        assert [list(row.items()) for row in part.data] == [list(row.items()) for row in want]
+        assert coboundary_matrix(g, []).rows == 0
