@@ -116,23 +116,6 @@ class LieAlgebra:
             raise ValueError("not a Cayley-Klein algebra (no family metadata)")
         return CKBasis(self.omega.n, self.family)
 
-    def permuted(self, perm) -> "LieAlgebra":
-        """Relabelled copy: new generator i is old generator perm[i]."""
-        if sorted(perm) != list(range(self.dim)):
-            raise ValueError("not a permutation of the basis")
-        inv = [0] * self.dim
-        for new, old in enumerate(perm):
-            inv[old] = new
-        table = {}
-        for (i, j), entries in self.constants.items():
-            a, b = inv[i], inv[j]
-            sign = 1
-            if a > b:
-                a, b = b, a
-                sign = -1
-            table[(a, b)] = [(inv[k], sign * c) for k, c in entries]
-        return LieAlgebra(self.dim, table)
-
     # -- serialization ---------------------------------------------------
 
     def to_text(self) -> str:
@@ -260,50 +243,45 @@ def jacobi_residual(algebra: LieAlgebra) -> Scalar:
 
 
 def _ck_structure(basis: CKBasis, omega: OmegaVector):
-    """Structure-constant table for su_omega / u_omega in canonical indexing."""
+    """Structure-constant table for su_omega / u_omega in canonical indexing.
+
+    A constant is zero where its omega product vanishes; `LieAlgebra` drops
+    those and checks every pair and index.
+    """
     N = basis.N
     w = omega.product
     j, m, b = basis.j, basis.m, basis.b
     table = {}
-
-    def put(i, jj, entries):
-        if i >= jj:
-            raise AssertionError("bracket table must be built in canonical order")
-        entries = [(k, c) for k, c in entries if c != 0]
-        if entries:
-            table[(i, jj)] = entries
-
     for a in range(N - 1):
         for bb in range(a + 1, N):
             for c in range(bb + 1, N + 1):
                 w_ab, w_bc = w(a, bb), w(bb, c)
-                put(j(a, bb), j(a, c), [(j(bb, c), w_ab)])
-                put(j(a, bb), j(bb, c), [(j(a, c), -1)])
-                put(j(a, c), j(bb, c), [(j(a, bb), w_bc)])
-                put(m(a, bb), m(a, c), [(j(bb, c), w_ab)])
-                put(m(a, bb), m(bb, c), [(j(a, c), 1)])
-                put(m(a, c), m(bb, c), [(j(a, bb), w_bc)])
-                put(j(a, bb), m(a, c), [(m(bb, c), w_ab)])
-                put(j(a, c), m(a, bb), [(m(bb, c), w_ab)])
-                put(j(a, bb), m(bb, c), [(m(a, c), -1)])
-                put(j(bb, c), m(a, bb), [(m(a, c), 1)])
-                put(j(a, c), m(bb, c), [(m(a, bb), -w_bc)])
-                put(j(bb, c), m(a, c), [(m(a, bb), -w_bc)])
+                table[j(a, bb), j(a, c)] = [(j(bb, c), w_ab)]
+                table[j(a, bb), j(bb, c)] = [(j(a, c), -1)]
+                table[j(a, c), j(bb, c)] = [(j(a, bb), w_bc)]
+                table[m(a, bb), m(a, c)] = [(j(bb, c), w_ab)]
+                table[m(a, bb), m(bb, c)] = [(j(a, c), 1)]
+                table[m(a, c), m(bb, c)] = [(j(a, bb), w_bc)]
+                table[j(a, bb), m(a, c)] = [(m(bb, c), w_ab)]
+                table[j(a, c), m(a, bb)] = [(m(bb, c), w_ab)]
+                table[j(a, bb), m(bb, c)] = [(m(a, c), -1)]
+                table[j(bb, c), m(a, bb)] = [(m(a, c), 1)]
+                table[j(a, c), m(bb, c)] = [(m(a, bb), -w_bc)]
+                table[j(bb, c), m(a, c)] = [(m(a, bb), -w_bc)]
     for a, bb in basis.index_pairs():
         w_ab = w(a, bb)
         if w_ab != 0:
-            put(j(a, bb), m(a, bb), [(b(s), -2 * w_ab) for s in range(a + 1, bb + 1)])
+            table[j(a, bb), m(a, bb)] = [(b(s), -2 * w_ab) for s in range(a + 1, bb + 1)]
         for l in range(1, N + 1):
             sel = delta_selector(a, bb, l)
             if sel:
-                put(j(a, bb), b(l), [(m(a, bb), sel)])
-                put(m(a, bb), b(l), [(j(a, bb), -sel)])
+                table[j(a, bb), b(l)] = [(m(a, bb), sel)]
+                table[m(a, bb), b(l)] = [(j(a, bb), -sel)]
     return table
 
 
 def _build_ck(N: int, omega, family: str) -> LieAlgebra:
-    if not isinstance(omega, OmegaVector):
-        omega = OmegaVector(omega)
+    omega = OmegaVector(omega)
     if omega.n != N:
         raise ValueError(f"omega has {omega.n} entries, expected N={N}")
     basis = CKBasis(N, family)

@@ -21,6 +21,7 @@ CKCOH_THREADS caps the sweep worker pool (default: available cores).
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -212,8 +213,6 @@ def cmd_rep(args) -> int:
 
 def cmd_contract(args) -> int:
     omega = _parse_omega(args.family, args.N, args.omega)
-    if not 1 <= args.k <= args.N:
-        raise UsageError(f"contraction index {args.k} out of range 1..{args.N}")
     report = contract(args.family, omega, args.k)
     if args.format == "json":
         content = _json_text(
@@ -365,6 +364,7 @@ def _add_common(parser, omega=True):
     parser.add_argument("--out", default=None, help="write the payload to a file")
 
 
+@functools.cache  # one parser per process: building it costs more than parsing
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ckcoh",

@@ -214,6 +214,8 @@ def are_coboundaries(algebra: LieAlgebra, cochains, assume_cocycle: bool = False
     has a zero right-hand side and mu = 0 on its generators, which is what
     the whole solve gives there, so the result is the same.
     """
+    if any(xi.dim != algebra.dim for xi in cochains):
+        raise ValueError("cochain dimension does not match the algebra")
     if not assume_cocycle:
         for xi in cochains:
             if cocycle_defect(algebra, xi) != 0:

@@ -178,8 +178,7 @@ def dim_h2_formula(family: str, omega: OmegaVector) -> int:
 
 def classify(family: str, N: int, omega) -> ExtensionClassification:
     """Which extension coefficients are non-trivial for this omega vector."""
-    if not isinstance(omega, OmegaVector):
-        omega = OmegaVector(omega)
+    omega = OmegaVector(omega)
     if omega.n != N:
         raise ValueError(f"omega has {omega.n} entries, expected N={N}")
     check_family(family)
@@ -207,8 +206,7 @@ def extension_cocycle(family: str, N: int, omega, coeffs: BasicCoefficients) -> 
     eta = tau = 0).  Alpha enters through [J_ac, M_ac] with the
     omega(a,s-1) omega(s,c) weights, beta/gamma sit on the B-B and B-I pairs.
     """
-    if not isinstance(omega, OmegaVector):
-        omega = OmegaVector(omega)
+    omega = OmegaVector(omega)
     if omega.n != N:
         raise ValueError(f"omega has {omega.n} entries, expected N={N}")
     coeffs.validate(family, omega)
@@ -239,8 +237,7 @@ def extension_cocycle(family: str, N: int, omega, coeffs: BasicCoefficients) -> 
 
 def build_extended(family: str, N: int, omega, coeffs: BasicCoefficients) -> LieAlgebra:
     """The centrally extended algebra on r+1 generators (constraints checked)."""
-    if not isinstance(omega, OmegaVector):
-        omega = OmegaVector(omega)
+    omega = OmegaVector(omega)
     coeffs.validate(family, omega)
     base = build_su_omega(N, omega) if family == "su" else build_u_omega(N, omega)
     return central_extension(base, extension_cocycle(family, N, omega, coeffs))
@@ -331,8 +328,7 @@ def trivializing_cochain(family: str, omega, alpha: dict) -> OneCochain:
     Defined only when every alpha_s != 0 has omega_s != 0; otherwise the
     extension is non-trivial and no such cochain exists.
     """
-    if not isinstance(omega, OmegaVector):
-        omega = OmegaVector(omega)
+    omega = OmegaVector(omega)
     basis = CKBasis(omega.n, check_family(family))
     mu = {}
     for s, a_s in alpha.items():
@@ -381,34 +377,33 @@ class ContractionReport:
 
 
 def contract(family: str, omega, k: int) -> ContractionReport:
-    """Set omega_k to zero and report which extensions change status."""
-    if not isinstance(omega, OmegaVector):
-        omega = OmegaVector(omega)
-    check_family(family)
+    """Set omega_k to zero and report what `classify` newly allows.
+
+    Each of the alpha, beta and gamma lists of the report is what the
+    classification after the contraction holds and the one before does not.
+    """
+    omega = OmegaVector(omega)
+    before = classify(family, omega.n, omega)
     if not 1 <= k <= omega.n:
         raise IndexError(f"contraction index {k} out of range 1..{omega.n}")
-    after = omega.contracted(k)
-    already = omega.omega(k) == 0
-    new_beta = ()
-    new_gamma = None
-    if not already:
-        new_beta = tuple(
-            (min(k, l), max(k, l)) for l in omega.zero_set
-        )
-        new_beta = tuple(sorted(new_beta))
-        if family == "u":
-            new_gamma = k
+    after = classify(family, omega.n, omega.contracted(k))
+
+    def new(name):
+        old = getattr(before, name)
+        return tuple(x for x in getattr(after, name) if x not in old)
+
+    alpha, gamma = new("type2_nontrivial"), new("type3_gamma_allowed")
     return ContractionReport(
         family=family,
         k=k,
         omega_before=omega,
-        omega_after=after,
-        already_zero=already,
-        alpha_now_nontrivial=None if already else k,
-        new_beta=new_beta,
-        new_gamma=new_gamma,
-        dim_before=dim_h2_formula(family, omega),
-        dim_after=dim_h2_formula(family, after),
+        omega_after=after.omega,
+        already_zero=not alpha,
+        alpha_now_nontrivial=alpha[0] if alpha else None,
+        new_beta=new("type3_beta_allowed"),
+        new_gamma=gamma[0] if gamma else None,
+        dim_before=before.dim_h2_formula,
+        dim_after=after.dim_h2_formula,
     )
 
 
@@ -451,14 +446,13 @@ def verify_theorem(
     coboundary exactly when its omega is nonzero while every allowed Type III
     cocycle is not a coboundary.
     """
-    if not isinstance(omega, OmegaVector):
-        omega = OmegaVector(omega)
+    omega = OmegaVector(omega)
     cls = classify(family, N, omega)
     build = build_su_omega if family == "su" else build_u_omega
     algebra = build(N, omega)
     result = h2(algebra, representatives=representatives)
     canonical = [
-        (f"α_{k}", BasicCoefficients(alpha={k: 1}), omega.omega(k) != 0)
+        (f"α_{k}", BasicCoefficients(alpha={k: 1}), k not in cls.type2_nontrivial)
         for k in range(1, N + 1)
     ]
     canonical += [

@@ -12,17 +12,24 @@ omega(a-1, a) = omega_a.
 
 from __future__ import annotations
 
+from itertools import product
+
 from .rationals import Scalar, format_rational, parse_rational, ratio
 
 SIGN_VALUES = {"+": 1, "-": -1, "−": -1, "0": 0}
 
 
 class OmegaVector:
-    """Immutable vector of N exact contraction constants, 1-indexed."""
+    """Immutable vector of N exact contraction constants, 1-indexed.
+
+    Made from values (an OmegaVector among them); text goes through `parse`.
+    """
 
     __slots__ = ("values",)
 
     def __init__(self, values):
+        if isinstance(values, str):
+            raise TypeError("OmegaVector takes values; parse text with OmegaVector.parse")
         vals = tuple(ratio(v) for v in values)
         if not vals:
             raise ValueError("omega vector must have at least one entry")
@@ -117,8 +124,5 @@ def sign_vectors(n: int):
     """All {+1, 0, -1}^n vectors as OmegaVectors, lexicographic in (1, 0, -1)."""
     if n == 0:
         return
-    stack = [()]
-    for _ in range(n):
-        stack = [prefix + (v,) for prefix in stack for v in (1, 0, -1)]
-    for vals in stack:
+    for vals in product((1, 0, -1), repeat=n):
         yield OmegaVector(vals)

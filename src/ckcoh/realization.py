@@ -135,8 +135,7 @@ def _unit(n, r, c):
 
 def fundamental_matrices(N: int, omega, family: str) -> list[ComplexMatrix]:
     """Realized generators in canonical order, (N+1)x(N+1) each."""
-    if not isinstance(omega, OmegaVector):
-        omega = OmegaVector(omega)
+    omega = OmegaVector(omega)
     basis = CKBasis(N, family)
     n = N + 1
     mats = []
@@ -160,8 +159,7 @@ def fundamental_matrices(N: int, omega, family: str) -> list[ComplexMatrix]:
 
 def metric_matrix(N: int, omega) -> ComplexMatrix:
     """I_w = diag(1, w_01, w_02, ..., w_0N)."""
-    if not isinstance(omega, OmegaVector):
-        omega = OmegaVector(omega)
+    omega = OmegaVector(omega)
     n = N + 1
     re = [[omega.product(0, r) if r == c else 0 for c in range(n)] for r in range(n)]
     return ComplexMatrix(n, re, None)

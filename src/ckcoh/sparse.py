@@ -128,14 +128,7 @@ def _integer_row(row: dict) -> dict:
         iv = v if denom == 1 and type(v) is int else int(v * denom)
         if iv:
             out[c] = iv
-    if not out:
-        return {}
-    g = 0
-    for v in out.values():
-        g = gcd(g, v)
-    if g > 1:
-        for c in out:
-            out[c] //= g
+    _strip_gcd(out)
     return out
 
 

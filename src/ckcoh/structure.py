@@ -85,24 +85,24 @@ class SignedPermutation:
 def transport_constants(algebra: LieAlgebra, mapping: SignedPermutation) -> LieAlgebra:
     """Structure constants of the new generators Y_i = sign_i X_{target_i}.
 
-    [Y_i, Y_j] = s_i s_j sum_m C_{t(i) t(j)}^m X_m, rewritten in the Y basis.
+    [Y_i, Y_j] = s_i s_j sum_m C_{t(i) t(j)}^m X_m, rewritten in the Y basis:
+    one pass over the nonzero constants, pairs in lexicographic order.  With
+    unit signs this is the plain relabelling, new generator i = old target_i.
     """
     if len(mapping) != algebra.dim:
         raise ValueError("mapping size does not match the algebra dimension")
     inv = [0] * algebra.dim
     for i, t in enumerate(mapping.targets):
         inv[t] = i
+    s = mapping.signs
     table = {}
-    for i in range(algebra.dim):
-        for j in range(i + 1, algebra.dim):
-            entries = []
-            factor = mapping.signs[i] * mapping.signs[j]
-            for m, c in algebra.bracket(mapping.targets[i], mapping.targets[j]):
-                back = inv[m]
-                entries.append((back, factor * mapping.signs[back] * c))
-            if entries:
-                table[(i, j)] = entries
-    return LieAlgebra(algebra.dim, table)
+    for (p, q), entries in algebra.constants.items():
+        i, j = inv[p], inv[q]
+        factor = s[i] * s[j]
+        if i > j:
+            i, j, factor = j, i, -factor
+        table[(i, j)] = [(inv[m], factor * s[inv[m]] * c) for m, c in entries]
+    return LieAlgebra(algebra.dim, dict(sorted(table.items())))
 
 
 def polarity_map(N: int, family: str = "su") -> SignedPermutation:

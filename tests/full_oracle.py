@@ -14,12 +14,23 @@ characters from the CK formulas, trusted only when the table matches them.
 `full_are_coboundaries` is the body `cohomology.are_coboundaries` had before
 that function solved only the blocks its cochains touch: it eliminates the
 whole C(r,2) x r coboundary matrix, built by `full_coboundary_matrix`.
+
+`permuted`, `transport_constants`, `contract` and `_ck_structure` are the
+bodies these had before each rule got one home: the relabelling as a
+`LieAlgebra` method beside a transport that brackets every pair, the
+contraction rule worked out by hand beside `classify`, and a bracket table
+that checked its pair order and dropped zeros itself.  `permuted` takes the
+algebra as `self`, as the method did.
 """
 
 from ckcoh.algebra import LieAlgebra, _build_ck, jacobi_residual
+from ckcoh.extensions import ContractionReport, dim_h2_formula
+from ckcoh.generators import CKBasis, check_family, delta_selector
+from ckcoh.omega import OmegaVector
 from ckcoh.cochains import OneCochain, TwoCochain, pair_count, pair_index
 from ckcoh.cohomology import CohomologyResult, NotACocycleError, cocycle_defect, cocycle_system
 from ckcoh.sparse import Echelon, SparseMatrix, _integer_row, nullspace, rank, solve_many
+from ckcoh.structure import SignedPermutation
 
 
 def _bracket_index(algebra: LieAlgebra) -> dict:
@@ -96,3 +107,118 @@ def full_are_coboundaries(algebra: LieAlgebra, cochains, assume_cocycle: bool = 
     for sol in solve_many(matrix, [xi.to_vector() for xi in cochains]):
         out.append(None if sol is None else OneCochain(algebra.dim, sol))
     return out
+
+
+def permuted(self, perm) -> LieAlgebra:
+    """Relabelled copy: new generator i is old generator perm[i]."""
+    if sorted(perm) != list(range(self.dim)):
+        raise ValueError("not a permutation of the basis")
+    inv = [0] * self.dim
+    for new, old in enumerate(perm):
+        inv[old] = new
+    table = {}
+    for (i, j), entries in self.constants.items():
+        a, b = inv[i], inv[j]
+        sign = 1
+        if a > b:
+            a, b = b, a
+            sign = -1
+        table[(a, b)] = [(inv[k], sign * c) for k, c in entries]
+    return LieAlgebra(self.dim, table)
+
+
+def transport_constants(algebra: LieAlgebra, mapping: SignedPermutation) -> LieAlgebra:
+    """Structure constants of the new generators Y_i = sign_i X_{target_i}.
+
+    [Y_i, Y_j] = s_i s_j sum_m C_{t(i) t(j)}^m X_m, rewritten in the Y basis.
+    """
+    if len(mapping) != algebra.dim:
+        raise ValueError("mapping size does not match the algebra dimension")
+    inv = [0] * algebra.dim
+    for i, t in enumerate(mapping.targets):
+        inv[t] = i
+    table = {}
+    for i in range(algebra.dim):
+        for j in range(i + 1, algebra.dim):
+            entries = []
+            factor = mapping.signs[i] * mapping.signs[j]
+            for m, c in algebra.bracket(mapping.targets[i], mapping.targets[j]):
+                back = inv[m]
+                entries.append((back, factor * mapping.signs[back] * c))
+            if entries:
+                table[(i, j)] = entries
+    return LieAlgebra(algebra.dim, table)
+
+
+def contract(family: str, omega, k: int) -> ContractionReport:
+    """Set omega_k to zero and report which extensions change status."""
+    if not isinstance(omega, OmegaVector):
+        omega = OmegaVector(omega)
+    check_family(family)
+    if not 1 <= k <= omega.n:
+        raise IndexError(f"contraction index {k} out of range 1..{omega.n}")
+    after = omega.contracted(k)
+    already = omega.omega(k) == 0
+    new_beta = ()
+    new_gamma = None
+    if not already:
+        new_beta = tuple(
+            (min(k, l), max(k, l)) for l in omega.zero_set
+        )
+        new_beta = tuple(sorted(new_beta))
+        if family == "u":
+            new_gamma = k
+    return ContractionReport(
+        family=family,
+        k=k,
+        omega_before=omega,
+        omega_after=after,
+        already_zero=already,
+        alpha_now_nontrivial=None if already else k,
+        new_beta=new_beta,
+        new_gamma=new_gamma,
+        dim_before=dim_h2_formula(family, omega),
+        dim_after=dim_h2_formula(family, after),
+    )
+
+
+def _ck_structure(basis: CKBasis, omega: OmegaVector):
+    """Structure-constant table for su_omega / u_omega in canonical indexing."""
+    N = basis.N
+    w = omega.product
+    j, m, b = basis.j, basis.m, basis.b
+    table = {}
+
+    def put(i, jj, entries):
+        if i >= jj:
+            raise AssertionError("bracket table must be built in canonical order")
+        entries = [(k, c) for k, c in entries if c != 0]
+        if entries:
+            table[(i, jj)] = entries
+
+    for a in range(N - 1):
+        for bb in range(a + 1, N):
+            for c in range(bb + 1, N + 1):
+                w_ab, w_bc = w(a, bb), w(bb, c)
+                put(j(a, bb), j(a, c), [(j(bb, c), w_ab)])
+                put(j(a, bb), j(bb, c), [(j(a, c), -1)])
+                put(j(a, c), j(bb, c), [(j(a, bb), w_bc)])
+                put(m(a, bb), m(a, c), [(j(bb, c), w_ab)])
+                put(m(a, bb), m(bb, c), [(j(a, c), 1)])
+                put(m(a, c), m(bb, c), [(j(a, bb), w_bc)])
+                put(j(a, bb), m(a, c), [(m(bb, c), w_ab)])
+                put(j(a, c), m(a, bb), [(m(bb, c), w_ab)])
+                put(j(a, bb), m(bb, c), [(m(a, c), -1)])
+                put(j(bb, c), m(a, bb), [(m(a, c), 1)])
+                put(j(a, c), m(bb, c), [(m(a, bb), -w_bc)])
+                put(j(bb, c), m(a, c), [(m(a, bb), -w_bc)])
+    for a, bb in basis.index_pairs():
+        w_ab = w(a, bb)
+        if w_ab != 0:
+            put(j(a, bb), m(a, bb), [(b(s), -2 * w_ab) for s in range(a + 1, bb + 1)])
+        for l in range(1, N + 1):
+            sel = delta_selector(a, bb, l)
+            if sel:
+                put(j(a, bb), b(l), [(m(a, bb), sel)])
+                put(m(a, bb), b(l), [(j(a, bb), -sel)])
+    return table

@@ -5,6 +5,7 @@ import pytest
 from ckcoh.algebra import LieAlgebra, build_su_omega, build_u_omega, jacobi_residual
 from ckcoh.generators import CKBasis, delta_selector
 from ckcoh.omega import OmegaVector
+from ckcoh.structure import SignedPermutation, transport_constants
 
 
 def test_su2_dimension_and_brackets():
@@ -167,7 +168,7 @@ def test_json_round_trip():
 def test_permuted_relabelling_keeps_jacobi():
     g = build_su_omega(2, [0, 1])
     perm = [3, 0, 5, 1, 7, 2, 6, 4]
-    p = g.permuted(perm)
+    p = transport_constants(g, SignedPermutation(perm, [1] * g.dim))
     assert jacobi_residual(p) == 0
     assert p != g  # genuinely relabelled
 

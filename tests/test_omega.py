@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+from ckcoh.algebra import build_su_omega
+from ckcoh.extensions import classify
 from ckcoh.omega import OmegaVector, sign_vectors
 from ckcoh.rationals import format_rational, parse_rational, ratio
 
@@ -116,3 +118,14 @@ def test_exponent_notation_rejected_decimals_kept():
         OmegaVector.parse("+,1e400")
     assert parse_rational("0.5") == Fraction(1, 2)
     assert OmegaVector.parse("0.5,-1.25").values == (Fraction(1, 2), Fraction(-5, 4))
+
+
+def test_text_is_refused_and_sent_to_parse():
+    for text in ("10", "1,0", ""):
+        with pytest.raises(TypeError, match="OmegaVector.parse"):
+            OmegaVector(text)
+    with pytest.raises(TypeError, match="OmegaVector.parse"):
+        build_su_omega(2, "10")
+    with pytest.raises(TypeError, match="OmegaVector.parse"):
+        classify("su", 2, "10")
+    assert OmegaVector(OmegaVector([1, 0])) == OmegaVector.parse("1,0")

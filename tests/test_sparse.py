@@ -5,6 +5,7 @@ import pytest
 
 from ckcoh.sparse import (
     SparseMatrix,
+    _integer_row,
     matvec,
     nullspace,
     rank,
@@ -152,3 +153,12 @@ def test_serialization_round_trip():
     assert SparseMatrix.from_json_obj(json.loads(m.to_json())) == m
     with pytest.raises(IndexError):
         m.set(5, 0, 1)
+
+
+def test_integer_rows_have_no_denominators_and_unit_content():
+    assert _integer_row({0: Fraction(1, 2), 3: Fraction(-3, 4)}) == {0: 2, 3: -3}
+    assert _integer_row({1: 4, 2: -6, 5: 10}) == {1: 2, 2: -3, 5: 5}
+    assert _integer_row({0: Fraction(2, 3), 1: Fraction(4, 3)}) == {0: 1, 1: 2}
+    assert _integer_row({0: 7}) == {0: 1}
+    assert _integer_row({0: 0, 1: Fraction(0)}) == {}
+    assert _integer_row({}) == {}
