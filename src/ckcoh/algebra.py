@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 from math import comb
 
-from .generators import CKBasis, check_family, delta_selector
+from .generators import CKBasis, _basis, check_family, delta_selector
 from .omega import OmegaVector
 from .rationals import Scalar, _lines, _reader, format_rational, parse_rational, ratio
 
@@ -114,7 +114,7 @@ class LieAlgebra:
     def ck_basis(self) -> CKBasis:
         if not self.is_ck():
             raise ValueError("not a Cayley-Klein algebra (no family metadata)")
-        return CKBasis(self.omega.n, self.family)
+        return _basis(self.omega.n, self.family)
 
     # -- serialization ---------------------------------------------------
 
@@ -197,7 +197,7 @@ def _from_table(cls, dim: int, table: dict, family, omega) -> LieAlgebra:
     """
     if not family:
         return cls(dim, table)
-    basis = CKBasis(omega.n, family)
+    basis = _basis(omega.n, family)
     if dim != basis.dim:
         raise ValueError(f"header says dim {dim} but {family} N={omega.n} has dim {basis.dim}")
     read = cls(dim, table, family=family, omega=omega, names=basis.names())
@@ -232,51 +232,58 @@ def jacobi_residual(algebra: LieAlgebra) -> Scalar:
     """Largest |cyclic Jacobi sum| over all generator triples (0 iff Lie).
 
     The cyclic sum of f = the bracket itself, one sum per (triple, component).
+    The components are summed one at a time: the brackets with a component
+    along m, read from the index `_into[m]`, fill one dict keyed by triple,
+    which is dropped once its maximum is taken.
     """
-    sums = {}
-    for (a, b), entries in algebra.constants.items():
-        for triple, coef in _cyclic_terms(algebra._into, a, b):
-            for m, d in entries:
-                key = (triple, m)
-                sums[key] = sums.get(key, 0) + coef * d
-    return ratio(max(map(abs, sums.values()), default=0))
+    into = algebra._into
+    top = 0
+    for entries in into.values():
+        sums = {}
+        for a, b, d in entries:
+            for triple, coef in _cyclic_terms(into, a, b):
+                sums[triple] = sums.get(triple, 0) + coef * d
+        top = max(top, max(map(abs, sums.values()), default=0))
+    return ratio(top)
 
 
 def _ck_structure(basis: CKBasis, omega: OmegaVector):
     """Structure-constant table for su_omega / u_omega in canonical indexing.
 
-    A constant is zero where its omega product vanishes; `LieAlgebra` drops
-    those and checks every pair and index.
+    Indices and omega products are looked up per pair, from the basis's
+    table.  A constant is zero where its omega product vanishes; `LieAlgebra`
+    drops those and checks every pair and index.
     """
-    N = basis.N
-    w = omega.product
-    j, m, b = basis.j, basis.m, basis.b
+    N, P = basis.N, basis.pair_count
+    J, b = basis._j, basis.b
+    w = {pair: omega.product(*pair) for pair in J}
     table = {}
     for a in range(N - 1):
         for bb in range(a + 1, N):
+            ab, w_ab = J[a, bb], w[a, bb]
             for c in range(bb + 1, N + 1):
-                w_ab, w_bc = w(a, bb), w(bb, c)
-                table[j(a, bb), j(a, c)] = [(j(bb, c), w_ab)]
-                table[j(a, bb), j(bb, c)] = [(j(a, c), -1)]
-                table[j(a, c), j(bb, c)] = [(j(a, bb), w_bc)]
-                table[m(a, bb), m(a, c)] = [(j(bb, c), w_ab)]
-                table[m(a, bb), m(bb, c)] = [(j(a, c), 1)]
-                table[m(a, c), m(bb, c)] = [(j(a, bb), w_bc)]
-                table[j(a, bb), m(a, c)] = [(m(bb, c), w_ab)]
-                table[j(a, c), m(a, bb)] = [(m(bb, c), w_ab)]
-                table[j(a, bb), m(bb, c)] = [(m(a, c), -1)]
-                table[j(bb, c), m(a, bb)] = [(m(a, c), 1)]
-                table[j(a, c), m(bb, c)] = [(m(a, bb), -w_bc)]
-                table[j(bb, c), m(a, c)] = [(m(a, bb), -w_bc)]
-    for a, bb in basis.index_pairs():
-        w_ab = w(a, bb)
+                ac, bc, w_bc = J[a, c], J[bb, c], w[bb, c]
+                table[ab, ac] = [(bc, w_ab)]
+                table[ab, bc] = [(ac, -1)]
+                table[ac, bc] = [(ab, w_bc)]
+                table[P + ab, P + ac] = [(bc, w_ab)]
+                table[P + ab, P + bc] = [(ac, 1)]
+                table[P + ac, P + bc] = [(ab, w_bc)]
+                table[ab, P + ac] = [(P + bc, w_ab)]
+                table[ac, P + ab] = [(P + bc, w_ab)]
+                table[ab, P + bc] = [(P + ac, -1)]
+                table[bc, P + ab] = [(P + ac, 1)]
+                table[ac, P + bc] = [(P + ab, -w_bc)]
+                table[bc, P + ac] = [(P + ab, -w_bc)]
+    for (a, bb), ab in J.items():
+        w_ab = w[a, bb]
         if w_ab != 0:
-            table[j(a, bb), m(a, bb)] = [(b(s), -2 * w_ab) for s in range(a + 1, bb + 1)]
+            table[ab, P + ab] = [(b(s), -2 * w_ab) for s in range(a + 1, bb + 1)]
         for l in range(1, N + 1):
             sel = delta_selector(a, bb, l)
             if sel:
-                table[j(a, bb), b(l)] = [(m(a, bb), sel)]
-                table[m(a, bb), b(l)] = [(j(a, bb), -sel)]
+                table[ab, b(l)] = [(P + ab, sel)]
+                table[P + ab, b(l)] = [(ab, -sel)]
     return table
 
 
@@ -284,7 +291,7 @@ def _build_ck(N: int, omega, family: str) -> LieAlgebra:
     omega = OmegaVector(omega)
     if omega.n != N:
         raise ValueError(f"omega has {omega.n} entries, expected N={N}")
-    basis = CKBasis(N, family)
+    basis = _basis(N, family)
     algebra = LieAlgebra(
         basis.dim,
         _ck_structure(basis, omega),
@@ -294,8 +301,8 @@ def _build_ck(N: int, omega, family: str) -> LieAlgebra:
     )
     # sigma_S, S a subset of {0..N}, scales a generator of mask chi by
     # (-1)^|S & chi|: e_a + e_b on J_ab and M_ab, 0 on B_l and I
-    for a, b in basis.index_pairs():
-        algebra._chars[basis.j(a, b)] = algebra._chars[basis.m(a, b)] = (1 << a) | (1 << b)
+    for (a, b), k in basis._j.items():
+        algebra._chars[k] = algebra._chars[basis.pair_count + k] = (1 << a) | (1 << b)
     return algebra
 
 

@@ -19,11 +19,16 @@ The module also reads the basic coefficients off an arbitrary cocycle and
 checks the reading by rebuilding: the cocycle those coefficients set
 (`extension_cocycle`) must equal the input entry for entry, which is every
 derived relation of the paper at once (four-index values vanish, B-column
-values collapse, the alpha recursion, the omega-scaled patterns).
+values collapse, the alpha recursion, the omega-scaled patterns).  The
+reading is entry-driven: a map from pair to (coefficient, key, scale), made
+once per basis, which the library shares per (N, family), sends each entry
+of the cocycle to the coefficient it sets, so a reading costs what the
+cocycle holds, not N^2 lookups.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -39,7 +44,7 @@ from .cohomology import (
     cocycle_defect,
     h2,
 )
-from .generators import CKBasis, check_family, delta_selector
+from .generators import CKBasis, _basis, check_family, delta_selector
 from .omega import OmegaVector
 from .rationals import _reader, format_rational, parse_rational, ratio
 
@@ -210,29 +215,42 @@ def extension_cocycle(family: str, N: int, omega, coeffs: BasicCoefficients) -> 
     if omega.n != N:
         raise ValueError(f"omega has {omega.n} entries, expected N={N}")
     coeffs.validate(family, omega)
-    basis = CKBasis(N, family)
+    basis = _basis(N, family)
+    J, P, b = basis._j, basis.pair_count, basis.b
     w = omega.product
-    j, m, b = basis.j, basis.m, basis.b
     entries = {}
     if coeffs.eta or coeffs.tau:
-        mu = {j(a, bb): v for (a, bb), v in coeffs.eta.items()}
-        mu.update({m(a, bb): v for (a, bb), v in coeffs.tau.items()})
-        entries = _coboundary(_ck_structure(basis, omega), mu)
+        entries = _type1(basis, coeffs, _ck_structure(basis, omega))
 
     def put(i, jj, value):
         if value:
             entries[(i, jj)] = entries.get((i, jj), 0) + value
 
     for s, al in coeffs.alpha.items():
+        right = [(bb, w(s, bb)) for bb in range(s, N + 1)]
         for a in range(s):
-            for bb in range(s, N + 1):
-                put(j(a, bb), m(a, bb), w(a, s - 1) * w(s, bb) * al)
+            w_left = w(a, s - 1)
+            for bb, w_right in right:
+                k = J[a, bb]
+                put(k, P + k, w_left * w_right * al)
     for (k, l), v in coeffs.beta.items():
         put(b(k), b(l), v)
     if family == "u":
         for k, v in coeffs.gamma.items():
             put(b(k), basis.i(), v)
     return TwoCochain(basis.dim, entries)
+
+
+def _type1(basis: CKBasis, coeffs: BasicCoefficients, constants: dict) -> dict:
+    """Pair -> delta(mu) with mu(J_ab) = eta_ab, mu(M_ab) = tau_ab (zeros kept).
+
+    `constants` is the bracket table of su/u_omega on `basis`: the one
+    `_ck_structure` builds, or the `constants` of an algebra that holds it.
+    """
+    J, P = basis._j, basis.pair_count
+    mu = {J[pair]: v for pair, v in coeffs.eta.items()}
+    mu.update({P + J[pair]: v for pair, v in coeffs.tau.items()})
+    return _coboundary(constants, mu)
 
 
 def build_extended(family: str, N: int, omega, coeffs: BasicCoefficients) -> LieAlgebra:
@@ -243,37 +261,50 @@ def build_extended(family: str, N: int, omega, coeffs: BasicCoefficients) -> Lie
     return central_extension(base, extension_cocycle(family, N, omega, coeffs))
 
 
-def _read_basic(algebra: LieAlgebra, xi: TwoCochain) -> BasicCoefficients:
-    """The canonical readings of the basic coefficients off a cochain.
+@functools.lru_cache(maxsize=64)
+def _readings(basis: CKBasis) -> dict:
+    """Pair -> (field, key, scale) of every canonical reading on `basis`.
 
     eta_ac = -xi(J_{a,a+1}, J_{a+1,c}) and tau_ac = -xi(J_{a,a+1}, M_{a+1,c})
-    (the adjacent c = a+1 slots come from the B-bracket column),
-    alpha_k = xi(J_{k-1,k}, M_{k-1,k}), beta_kl = xi(B_k, B_l),
-    gamma_k = xi(B_k, I).  Nothing is checked here.
+    (the adjacent c = a+1 slots come from the B-bracket column, scaled by
+    -+1/sel), alpha_k = xi(J_{k-1,k}, M_{k-1,k}), beta_kl = xi(B_k, B_l),
+    gamma_k = xi(B_k, I).  The pairs are all distinct.
     """
-    basis = algebra.ck_basis()
-    N = basis.N
     j, m, b = basis.j, basis.m, basis.b
-    get = xi.get
-    eta, tau = {}, {}
+    N = basis.N
+    out = {}
     for a, c in basis.index_pairs():
         if c == a + 1:
             sel = delta_selector(a, c, a + 1)
-            eta[(a, c)] = ratio(Fraction(get(m(a, c), b(a + 1)), -sel))
-            tau[(a, c)] = ratio(Fraction(get(j(a, c), b(a + 1)), sel))
+            out[m(a, c), b(a + 1)] = ("eta", (a, c), Fraction(-1, sel))
+            out[j(a, c), b(a + 1)] = ("tau", (a, c), Fraction(1, sel))
         else:
-            eta[(a, c)] = -get(j(a, a + 1), j(a + 1, c))
-            tau[(a, c)] = -get(j(a, a + 1), m(a + 1, c))
-    alpha = {k: get(j(k - 1, k), m(k - 1, k)) for k in range(1, N + 1)}
-    beta = {
-        (k, l): get(b(k), b(l))
-        for k in range(1, N + 1)
-        for l in range(k + 1, N + 1)
-    }
-    gamma = {}
-    if algebra.family == "u":
-        gamma = {k: get(b(k), basis.i()) for k in range(1, N + 1)}
-    return BasicCoefficients(eta=eta, tau=tau, alpha=alpha, beta=beta, gamma=gamma)
+            out[j(a, a + 1), j(a + 1, c)] = ("eta", (a, c), -1)
+            out[j(a, a + 1), m(a + 1, c)] = ("tau", (a, c), -1)
+    for k in range(1, N + 1):
+        out[j(k - 1, k), m(k - 1, k)] = ("alpha", k, 1)
+        for l in range(k + 1, N + 1):
+            out[b(k), b(l)] = ("beta", (k, l), 1)
+        if basis.family == "u":
+            out[b(k), basis.i()] = ("gamma", k, 1)
+    return out
+
+
+def _read_basic(algebra: LieAlgebra, xi: TwoCochain) -> BasicCoefficients:
+    """The canonical readings of the basic coefficients off a cochain.
+
+    Entry-driven: each entry of xi is looked up in `_readings` of the
+    algebra's shared basis, so the cost follows the entries of xi, not N^2.
+    Each field comes out in key order, as a walk over all keys would give.
+    Nothing is checked here.
+    """
+    readings = _readings(algebra.ck_basis())
+    fields = {name: {} for name, _ in _FIELDS}
+    for pair, v in xi.entries.items():
+        if reading := readings.get(pair):
+            name, key, scale = reading
+            fields[name][key] = v * scale
+    return BasicCoefficients(**{name: dict(sorted(table.items())) for name, table in fields.items()})
 
 
 def appendix_violations(algebra: LieAlgebra, xi: TwoCochain) -> list[str]:
@@ -283,15 +314,28 @@ def appendix_violations(algebra: LieAlgebra, xi: TwoCochain) -> list[str]:
     for u, B/J/M-I), so every derived relation holds exactly when xi equals
     the cocycle rebuilt from its readings.  One `xi(X,Y): got g, expected e`
     line per differing pair, in pair order, or one line when a beta/gamma is
-    read where its omega is nonzero; empty for a genuine cocycle.
+    read where its omega is nonzero; empty for a genuine cocycle.  The Type I
+    part is delta(mu) over the algebra's own `constants`, so no bracket table
+    is built here.
     """
     if xi.dim != algebra.dim:
         raise ValueError("cochain dimension does not match the algebra")
     coeffs = _read_basic(algebra, xi)
+    omega = algebra.omega
     try:
-        rebuilt = extension_cocycle(algebra.family, algebra.omega.n, algebra.omega, coeffs)
+        rebuilt = extension_cocycle(
+            algebra.family,
+            omega.n,
+            omega,
+            BasicCoefficients(alpha=coeffs.alpha, beta=coeffs.beta, gamma=coeffs.gamma),
+        )
     except ConstraintViolation as exc:
         return [str(exc)]
+    if coeffs.eta or coeffs.tau:
+        entries = _type1(algebra.ck_basis(), coeffs, algebra.constants)
+        for pair, v in rebuilt.entries.items():
+            entries[pair] = entries.get(pair, 0) + v
+        rebuilt = TwoCochain(algebra.dim, entries)
     name = algebra.name
     return [
         f"xi({name(i)},{name(k)}): got {format_rational(xi.get(i, k))}, "
@@ -309,17 +353,17 @@ def extract_basic(algebra: LieAlgebra, xi: TwoCochain) -> BasicCoefficients:
     """
     defect = cocycle_defect(algebra, xi)
     violations = appendix_violations(algebra, xi)
+    if not (defect or violations):
+        return _read_basic(algebra, xi)
     where = f"{algebra.family} N={algebra.omega.n} ω ({algebra.omega.tokens()})"
     detail = "; ".join(violations[:5])
     if defect:
         raise NotACocycleError(
             f"not a two-cocycle of {where} (defect {format_rational(defect)}): {detail}"
         )
-    if violations:
-        raise EngineInvariantError(
-            f"cocycle of {where} violates {len(violations)} derived relation(s): {detail}"
-        )
-    return _read_basic(algebra, xi)
+    raise EngineInvariantError(
+        f"cocycle of {where} violates {len(violations)} derived relation(s): {detail}"
+    )
 
 
 def trivializing_cochain(family: str, omega, alpha: dict) -> OneCochain:
@@ -329,7 +373,7 @@ def trivializing_cochain(family: str, omega, alpha: dict) -> OneCochain:
     extension is non-trivial and no such cochain exists.
     """
     omega = OmegaVector(omega)
-    basis = CKBasis(omega.n, check_family(family))
+    basis = _basis(omega.n, check_family(family))
     mu = {}
     for s, a_s in alpha.items():
         a_s = ratio(a_s)

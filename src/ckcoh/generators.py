@@ -9,6 +9,8 @@ fixes all tensor indexing throughout the package:
 
 from __future__ import annotations
 
+import functools
+
 FAMILIES = ("su", "u")
 
 
@@ -29,20 +31,36 @@ def generator_names(N: int, family: str) -> tuple[str, ...]:
 
 
 class CKBasis:
-    """Index arithmetic for the canonical ordering at a given N and family."""
+    """Index arithmetic for the canonical ordering at a given N and family.
+
+    The index of J_ab is looked up in `_j`, made once in canonical order
+    (M_ab sits `pair_count` further on), so each pair is checked once, when
+    the basis is made.  Immutable: the library shares one basis per
+    (N, family) through `_basis`.
+    """
+
+    __slots__ = ("N", "family", "pair_count", "dim", "_j")
 
     def __init__(self, N: int, family: str):
         if N < 1:
             raise ValueError("N must be >= 1")
         check_family(family)
-        self.N = N
-        self.family = family
-        self.pair_count = N * (N + 1) // 2
-        self.dim = 2 * self.pair_count + N + (1 if family == "u" else 0)
+        pair_count = N * (N + 1) // 2
+        pairs = ((a, b) for a in range(N) for b in range(a + 1, N + 1))
+        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "pair_count", pair_count)
+        object.__setattr__(self, "dim", 2 * pair_count + N + (1 if family == "u" else 0))
+        object.__setattr__(self, "_j", {pair: k for k, pair in enumerate(pairs)})
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CKBasis is immutable")
 
     def j(self, a: int, b: int) -> int:
-        self._check_pair(a, b)
-        return a * (2 * self.N + 1 - a) // 2 + (b - a - 1)
+        try:
+            return self._j[a, b]
+        except KeyError:
+            raise IndexError(f"generator pair ({a},{b}) out of range 0..{self.N}") from None
 
     def m(self, a: int, b: int) -> int:
         return self.pair_count + self.j(a, b)
@@ -59,16 +77,16 @@ class CKBasis:
 
     def index_pairs(self):
         """(a, b) with 0 <= a < b <= N, in canonical (lexicographic) order."""
-        for a in range(self.N):
-            for b in range(a + 1, self.N + 1):
-                yield a, b
+        return iter(self._j)
 
     def names(self) -> tuple[str, ...]:
         return generator_names(self.N, self.family)
 
-    def _check_pair(self, a: int, b: int):
-        if not 0 <= a < b <= self.N:
-            raise IndexError(f"generator pair ({a},{b}) out of range 0..{self.N}")
+
+@functools.lru_cache(maxsize=64)
+def _basis(N: int, family: str) -> CKBasis:
+    """The basis the library shares for (N, family), made on first use."""
+    return CKBasis(N, family)
 
 
 def delta_selector(a: int, b: int, l: int) -> int:

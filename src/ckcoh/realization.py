@@ -15,7 +15,7 @@ stored as separate real and imaginary parts.
 from __future__ import annotations
 
 from .algebra import LieAlgebra
-from .generators import CKBasis
+from .generators import _basis
 from .omega import OmegaVector
 from .rationals import format_rational, ratio
 
@@ -136,7 +136,7 @@ def _unit(n, r, c):
 def fundamental_matrices(N: int, omega, family: str) -> list[ComplexMatrix]:
     """Realized generators in canonical order, (N+1)x(N+1) each."""
     omega = OmegaVector(omega)
-    basis = CKBasis(N, family)
+    basis = _basis(N, family)
     n = N + 1
     mats = []
     for a, b in basis.index_pairs():

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import LieAlgebra
-from .generators import CKBasis
+from .generators import _basis
 from .rationals import ratio
 
 
@@ -107,7 +107,7 @@ def transport_constants(algebra: LieAlgebra, mapping: SignedPermutation) -> LieA
 
 def polarity_map(N: int, family: str = "su") -> SignedPermutation:
     """J_ab -> -J_{N-b,N-a}, M_ab -> -M_{N-b,N-a}, B_l -> B_{N+1-l} (I fixed)."""
-    basis = CKBasis(N, family)
+    basis = _basis(N, family)
     targets = [0] * basis.dim
     signs = [1] * basis.dim
     for a, b in basis.index_pairs():
@@ -160,7 +160,7 @@ def translation_block_indices(N: int, a: int, family: str = "su") -> set:
 
     Abelian of dimension 2a(N+1-a) when omega_a = 0; not closed otherwise.
     """
-    basis = CKBasis(N, family)
+    basis = _basis(N, family)
     if not 1 <= a <= N:
         raise IndexError(f"block index {a} out of range 1..{N}")
     out = set()

@@ -21,14 +21,22 @@ bodies these had before each rule got one home: the relabelling as a
 contraction rule worked out by hand beside `classify`, and a bracket table
 that checked its pair order and dropped zeros itself.  `permuted` takes the
 algebra as `self`, as the method did.
+
+`_read_basic` is the reading of the basic coefficients before it became
+entry-driven: it reads every slot of the cochain, N^2 of them.
+`FormulaBasis` is `CKBasis` before it held an index table: it computes J/M
+indices from the closed formula and checks the pair on every call.
 """
 
+from fractions import Fraction
+
 from ckcoh.algebra import LieAlgebra, _build_ck, jacobi_residual
-from ckcoh.extensions import ContractionReport, dim_h2_formula
-from ckcoh.generators import CKBasis, check_family, delta_selector
+from ckcoh.extensions import BasicCoefficients, ContractionReport, dim_h2_formula
+from ckcoh.generators import CKBasis, check_family, delta_selector, generator_names
 from ckcoh.omega import OmegaVector
 from ckcoh.cochains import OneCochain, TwoCochain, pair_count, pair_index
 from ckcoh.cohomology import CohomologyResult, NotACocycleError, cocycle_defect, cocycle_system
+from ckcoh.rationals import ratio
 from ckcoh.sparse import Echelon, SparseMatrix, _integer_row, nullspace, rank, solve_many
 from ckcoh.structure import SignedPermutation
 
@@ -222,3 +230,79 @@ def _ck_structure(basis: CKBasis, omega: OmegaVector):
                 put(j(a, bb), b(l), [(m(a, bb), sel)])
                 put(m(a, bb), b(l), [(j(a, bb), -sel)])
     return table
+
+
+def _read_basic(algebra: LieAlgebra, xi: TwoCochain) -> BasicCoefficients:
+    """The canonical readings of the basic coefficients off a cochain.
+
+    eta_ac = -xi(J_{a,a+1}, J_{a+1,c}) and tau_ac = -xi(J_{a,a+1}, M_{a+1,c})
+    (the adjacent c = a+1 slots come from the B-bracket column),
+    alpha_k = xi(J_{k-1,k}, M_{k-1,k}), beta_kl = xi(B_k, B_l),
+    gamma_k = xi(B_k, I).  Nothing is checked here.
+    """
+    basis = algebra.ck_basis()
+    N = basis.N
+    j, m, b = basis.j, basis.m, basis.b
+    get = xi.get
+    eta, tau = {}, {}
+    for a, c in basis.index_pairs():
+        if c == a + 1:
+            sel = delta_selector(a, c, a + 1)
+            eta[(a, c)] = ratio(Fraction(get(m(a, c), b(a + 1)), -sel))
+            tau[(a, c)] = ratio(Fraction(get(j(a, c), b(a + 1)), sel))
+        else:
+            eta[(a, c)] = -get(j(a, a + 1), j(a + 1, c))
+            tau[(a, c)] = -get(j(a, a + 1), m(a + 1, c))
+    alpha = {k: get(j(k - 1, k), m(k - 1, k)) for k in range(1, N + 1)}
+    beta = {
+        (k, l): get(b(k), b(l))
+        for k in range(1, N + 1)
+        for l in range(k + 1, N + 1)
+    }
+    gamma = {}
+    if algebra.family == "u":
+        gamma = {k: get(b(k), basis.i()) for k in range(1, N + 1)}
+    return BasicCoefficients(eta=eta, tau=tau, alpha=alpha, beta=beta, gamma=gamma)
+
+
+class FormulaBasis:
+    """`CKBasis` before its index table: closed formulas, each pair checked per call."""
+
+    def __init__(self, N: int, family: str):
+        if N < 1:
+            raise ValueError("N must be >= 1")
+        check_family(family)
+        self.N = N
+        self.family = family
+        self.pair_count = N * (N + 1) // 2
+        self.dim = 2 * self.pair_count + N + (1 if family == "u" else 0)
+
+    def j(self, a: int, b: int) -> int:
+        self._check_pair(a, b)
+        return a * (2 * self.N + 1 - a) // 2 + (b - a - 1)
+
+    def m(self, a: int, b: int) -> int:
+        return self.pair_count + self.j(a, b)
+
+    def b(self, l: int) -> int:
+        if not 1 <= l <= self.N:
+            raise IndexError(f"B index {l} out of range 1..{self.N}")
+        return 2 * self.pair_count + l - 1
+
+    def i(self) -> int:
+        if self.family != "u":
+            raise ValueError("I exists only in the u family")
+        return self.dim - 1
+
+    def index_pairs(self):
+        """(a, b) with 0 <= a < b <= N, in canonical (lexicographic) order."""
+        for a in range(self.N):
+            for b in range(a + 1, self.N + 1):
+                yield a, b
+
+    def names(self) -> tuple[str, ...]:
+        return generator_names(self.N, self.family)
+
+    def _check_pair(self, a: int, b: int):
+        if not 0 <= a < b <= self.N:
+            raise IndexError(f"generator pair ({a},{b}) out of range 0..{self.N}")
