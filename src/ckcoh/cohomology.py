@@ -33,6 +33,17 @@ only on pairs of character chi_k.  So `are_coboundaries` solves only the
 blocks its cochains touch: on every other block the right-hand side is zero
 and mu = 0 there, which is what the whole solve gives, key order included.
 
+For the same reason `h2` eliminates block 0 alone.  Its pairs come from the
+generators grouped by character, and its coboundary image is the delta(e_k)
+with chi_k = 0 in the block's own columns; that rank enters dim H2.  Then
+
+    dim B2 = rank(mu -> delta(mu)) = dim [g, g],
+
+the span of the bracket vectors [X_p, X_q].  Each lies on generators of the
+one character chi_p + chi_q, so every character chi != 0 adds the rank of its
+bracket vectors.  In a CK table each of those has a single target, so that
+rank is a count of targets and needs no elimination.
+
 The condition is the Jacobi sum with xi in place of the bracket, so
 `cocycle_system`, `cocycle_defect` and `jacobi_residual` share one walk,
 `algebra._cyclic_terms`, and the image rows delta(e_k) are its bracket index.
@@ -41,9 +52,10 @@ The condition is the Jacobi sum with xi in place of the bracket, so
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .algebra import LieAlgebra, _cyclic_terms, jacobi_residual
-from .cochains import OneCochain, TwoCochain, pair_count, pair_index, pair_list
+from .cochains import OneCochain, TwoCochain, pair_list
 from .rationals import ratio
 from .sparse import Echelon, SparseMatrix, _integer_row, nullspace, rank, solve_many
 
@@ -154,24 +166,32 @@ class CohomologyResult:
 def h2(algebra: LieAlgebra, representatives: bool = True) -> CohomologyResult:
     """Full second cohomology: dimensions and (optionally) representatives.
 
-    On the character-0 block, dim H2 = nullity - rank of its coboundaries,
-    and dim Z2 = dim B2 + dim H2.  Representatives are the block's kernel
-    basis vectors, taken in canonical order and kept exactly when independent
-    of the coboundary image plus the representatives already chosen.
+    Only the character-0 block is eliminated: its pairs come from the
+    generators grouped by character, and its coboundaries are the delta(e_k)
+    with chi_k = 0, in the block's own columns.  dim H2 = nullity - rank of
+    those coboundaries, dim B2 = dim [g, g] (that rank plus the rank of the
+    brackets of nonzero character) and dim Z2 = dim B2 + dim H2.
+    Representatives are the block's kernel basis vectors, taken in canonical
+    order and kept exactly when independent of the coboundary image plus the
+    representatives already chosen.
     """
     chars = algebra._chars
     if not any(chars) and jacobi_residual(algebra) != 0:
         raise ValueError("not a Lie algebra: nonzero Jacobi residual")
     r = algebra.dim
-    block = [(i, j) for i, j in pair_list(r) if chars[i] == chars[j]]
+    groups = {}
+    for i, chi in enumerate(chars):
+        groups.setdefault(chi, []).append(i)
+    block = sorted(pair for group in groups.values() for pair in combinations(group, 2))
+    col_of = {pair: n for n, pair in enumerate(block)}
     system = cocycle_system(algebra, block)
-    image = Echelon(pair_count(r))
+    image = Echelon(len(block))
     into = algebra._into
-    rank_0 = 0
-    for k in sorted(into):  # delta(e_k) lies in block chars[k]; blocks never mix
-        if image.absorb(_integer_row({pair_index(r, p, q): c for p, q, c in into[k]})):
-            rank_0 += not chars[k]
-    dim_b2 = image.rank
+    for k in sorted(into):
+        if not chars[k]:  # delta(e_k) lies on the pairs of character chi_k
+            image.absorb(_integer_row({col_of[p, q]: c for p, q, c in into[k]}))
+    rank_0 = image.rank
+    dim_b2 = rank_0 + _rank_off_block_0(algebra)
     if not representatives:
         dim_h2 = len(block) - rank(system) - rank_0
         return CohomologyResult(dim_b2 + dim_h2, dim_b2, dim_h2, [])
@@ -179,11 +199,34 @@ def h2(algebra: LieAlgebra, representatives: bool = True) -> CohomologyResult:
     dim_h2 = len(kernel) - rank_0
     reps = []
     for vec in kernel:
-        if image.absorb({pair_index(r, *block[c]): v for c, v in vec.items()}):
+        if image.absorb(vec):
             reps.append(TwoCochain(r, {block[c]: v for c, v in vec.items()}))
     if len(reps) != dim_h2:
         raise AssertionError("representative extension lost independence")
     return CohomologyResult(dim_b2 + dim_h2, dim_b2, dim_h2, reps)
+
+
+def _rank_off_block_0(algebra: LieAlgebra) -> int:
+    """Rank of the bracket vectors [X_p, X_q] that lie on generators of nonzero character.
+
+    Each bracket vector lies on generators of the one character chi_p + chi_q,
+    so these add to the character-0 rank to give dim [g, g].  A vector with
+    one target spans exactly that coordinate (every such vector of a CK
+    table), so they count as their set of targets; a vector with several
+    targets adds the rank it keeps off that set.
+    """
+    chars = algebra._chars
+    targets, wide = set(), set()
+    for vec in algebra.constants.values():
+        if chars[vec[0][0]]:
+            if len(vec) == 1:
+                targets.add(vec[0][0])
+            else:
+                wide.add(vec)
+    rest = Echelon(algebra.dim)
+    for vec in wide:
+        rest.absorb(_integer_row({k: c for k, c in vec if k not in targets}))
+    return len(targets) + rest.rank
 
 
 def h2_dimensions(algebra: LieAlgebra) -> tuple[int, int, int]:

@@ -22,12 +22,16 @@ SIGN_VALUES = {"+": 1, "-": -1, "−": -1, "0": 0}
 class OmegaVector:
     """Immutable vector of N exact contraction constants, 1-indexed.
 
-    Made from values (an OmegaVector among them); text goes through `parse`.
+    Made from values; an OmegaVector shares its already coerced `values`.
+    Text goes through `parse`.
     """
 
     __slots__ = ("values",)
 
     def __init__(self, values):
+        if isinstance(values, OmegaVector):  # already coerced
+            object.__setattr__(self, "values", values.values)
+            return
         if isinstance(values, str):
             raise TypeError("OmegaVector takes values; parse text with OmegaVector.parse")
         vals = tuple(ratio(v) for v in values)

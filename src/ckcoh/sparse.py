@@ -15,6 +15,14 @@ applies only the pivots a row reaches, in creation order; `uses` (column ->
 pivot rows holding it) drives back-substitution, which visits only the
 pivots whose solved value can be nonzero, in reverse creation order.  Both
 perform the same operations in the same order as a walk over every pivot.
+
+Elimination reduces each distinct row once.  A row equal (after clearing
+denominators and the content gcd) to one that became a pivot or reduced to
+zero lies in the span of the pivots, and a nonzero vector of that span holds
+the pivot column of the earliest pivot it uses, since no later pivot row
+holds that column.  So the copy would reduce to {}: skipping it leaves the
+pivots, their order and the kernel unchanged.  A copy of a row that left a
+right-hand-side leftover is not skipped, as every such row is kept.
 """
 
 from __future__ import annotations
@@ -291,12 +299,18 @@ def _build_echelon(matrix: SparseMatrix, rhs_list=()) -> Echelon:
                     rows[r][cols + t] = v
     ech = Echelon(cols)
     leftovers = []
+    seen = set()  # rows that reduced to a pivot or to {}; a copy would reduce to {}
     for row in rows:
         row = _integer_row(row)
         if not row:
             continue
+        key = frozenset(row.items())
+        if key in seen:
+            continue
         reduced = ech.reduce(row)
-        if not ech.insert(reduced) and reduced:
+        if ech.insert(reduced) or not reduced:
+            seen.add(key)
+        else:
             leftovers.append(reduced)
     ech.leftovers = leftovers
     return ech

@@ -22,6 +22,9 @@ contraction rule worked out by hand beside `classify`, and a bracket table
 that checked its pair order and dropped zeros itself.  `permuted` takes the
 algebra as `self`, as the method did.
 
+`full_build_echelon` is `sparse._build_echelon` before it reduced each
+distinct row once: it reduces every row, repeated ones too.
+
 `_read_basic` is the reading of the basic coefficients before it became
 entry-driven: it reads every slot of the cochain, N^2 of them.
 `FormulaBasis` is `CKBasis` before it held an index table: it computes J/M
@@ -115,6 +118,31 @@ def full_are_coboundaries(algebra: LieAlgebra, cochains, assume_cocycle: bool = 
     for sol in solve_many(matrix, [xi.to_vector() for xi in cochains]):
         out.append(None if sol is None else OneCochain(algebra.dim, sol))
     return out
+
+
+def full_build_echelon(matrix: SparseMatrix, rhs_list=()) -> Echelon:
+    """Eliminate all rows in natural order; right-hand side t rides along as column cols + t."""
+    cols = matrix.cols
+    rows = matrix.data
+    if rhs_list:
+        rows = [dict(row) for row in rows]
+        for t, rhs in enumerate(rhs_list):
+            for r, v in rhs.items():
+                if not 0 <= r < matrix.rows:
+                    raise IndexError(f"rhs row {r} outside matrix")
+                if v:
+                    rows[r][cols + t] = v
+    ech = Echelon(cols)
+    leftovers = []
+    for row in rows:
+        row = _integer_row(row)
+        if not row:
+            continue
+        reduced = ech.reduce(row)
+        if not ech.insert(reduced) and reduced:
+            leftovers.append(reduced)
+    ech.leftovers = leftovers
+    return ech
 
 
 def permuted(self, perm) -> LieAlgebra:

@@ -4,6 +4,10 @@ Valid algebras of dim <= 10 are produced as direct sums of known blocks
 (abelian, heisenberg, su_omega(2) with random rational omega) pushed through a
 random rational change of basis, which keeps the Jacobi identity exactly while
 producing dense, ugly structure constants.
+
+`graded_change_of_basis` mixes the generators of a Cayley-Klein algebra only
+within each sign character and keeps the characters, so the algebra stays
+graded while its brackets of nonzero character get several targets.
 """
 
 import random
@@ -113,3 +117,20 @@ def random_algebra(rng: random.Random, max_dim: int = 10) -> LieAlgebra:
     for block in blocks[1:]:
         g = direct_sum(g, block)
     return change_of_basis(g, random_invertible(rng, g.dim))
+
+
+def graded_change_of_basis(g: LieAlgebra, rng: random.Random) -> LieAlgebra:
+    """g in a random basis that mixes generators of one sign character only."""
+    n = g.dim
+    t = [[Fraction(0)] * n for _ in range(n)]
+    groups = {}
+    for i, chi in enumerate(g._chars):
+        groups.setdefault(chi, []).append(i)
+    for group in groups.values():
+        block = random_invertible(rng, len(group))
+        for a, i in enumerate(group):
+            for b, j in enumerate(group):
+                t[i][j] = block[a][b]
+    h = change_of_basis(g, t)
+    h._chars[:] = g._chars
+    return h

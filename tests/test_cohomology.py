@@ -6,6 +6,7 @@ import pytest
 
 import ckcoh.algebra
 import ckcoh.cohomology
+import ckcoh.sparse
 from ckcoh.algebra import LieAlgebra, build_su_omega, build_u_omega, jacobi_residual
 from ckcoh.cochains import OneCochain, TwoCochain, pair_count, pair_index, pair_list
 from ckcoh.cohomology import (
@@ -27,8 +28,8 @@ from ckcoh.omega import OmegaVector
 from ckcoh.sparse import SparseMatrix, matvec, nullspace, rank
 from ckcoh.structure import SignedPermutation, transport_constants
 
-from dense_oracle import h2_dimensions_dense
-from random_algebras import random_algebra
+from dense_oracle import coboundary_rows_dense, h2_dimensions_dense, row_echelon_rank
+from random_algebras import graded_change_of_basis, random_algebra
 
 
 def test_pair_indexing():
@@ -240,6 +241,67 @@ def test_nonzero_characters_carry_no_cohomology():
                 assert nullity == rank(image), (text, g.family, chi)
                 blocks_checked += 1
     assert blocks_checked == 2948
+
+
+def _b2_algebras():
+    """CK with N <= 3, rational omegas, random algebras, relabellings, graded bases."""
+    rng = random.Random(17)
+    omegas = [",".join(s) for n in range(1, 4) for s in product("+-0", repeat=n)]
+    omegas += ["2/3,-1", "0,-1/2,0", "-2/3,1,5/2", "0,3/4,0,-2", "1/2,-3,2/5,7"]
+    ck = [
+        build(omega.n, omega)
+        for omega in map(OmegaVector.parse, omegas)
+        for build in (build_su_omega, build_u_omega)
+    ]
+    yield from ck
+    for seed in range(12):
+        yield random_algebra(random.Random(seed), max_dim=9)
+    for g in rng.sample(ck, 12):
+        perm = list(range(g.dim))
+        rng.shuffle(perm)
+        yield transport_constants(g, SignedPermutation(perm, [rng.choice((1, -1)) for _ in perm]))
+    for g in rng.sample([g for g in ck if g.dim <= 16], 12):
+        yield graded_change_of_basis(g, rng)
+
+
+def test_dim_b2_is_the_rank_of_the_coboundary_matrix():
+    # dim B2 = dim [g, g]: h2 counts the brackets of nonzero character by
+    # rank alone, and eliminates only the character-0 coboundaries
+    wide = 0
+    for g in _b2_algebras():
+        b2 = rank(coboundary_matrix(g))
+        assert h2(g).dim_B2 == h2(g, representatives=False).dim_B2 == b2, g
+        assert b2 == row_echelon_rank(coboundary_rows_dense(g)), g
+        chars = g._chars
+        wide += any(chars[v[0][0]] and len(v) > 1 for v in g.constants.values())
+    assert wide >= 10  # brackets of nonzero character with several targets
+
+
+# Echelon.reduce calls of one h2 that absorbed the coboundaries of every
+# character into C(r, 2) columns and reduced every row of the block-0 system
+FULL_IMAGE_EVERY_ROW_CALLS = {
+    ("su", "+,+,+,+,+,+"): 314,
+    ("u", "0,0,0,0,0,0"): 209,
+    ("su", "0,1/2,0,0,-3,0"): 206,
+}
+
+
+def test_h2_makes_at_most_half_the_reduce_calls(monkeypatch):
+    calls = []
+    reduce = ckcoh.sparse.Echelon.reduce
+
+    def counted(self, row):
+        calls.append(1)
+        return reduce(self, row)
+
+    monkeypatch.setattr(ckcoh.sparse.Echelon, "reduce", counted)
+    for (family, text), before in FULL_IMAGE_EVERY_ROW_CALLS.items():
+        omega = OmegaVector.parse(text)
+        build = build_su_omega if family == "su" else build_u_omega
+        g = build(omega.n, omega)
+        calls.clear()
+        h2(g)
+        assert 0 < len(calls) <= before // 2, (family, text, len(calls))
 
 
 def test_ck_metadata_on_another_table_is_solved_as_one_block():

@@ -4,7 +4,15 @@ Both paths (`representatives=True` through `nullspace`, `False` through
 `rank`) must give the same (dim Z2, dim B2, dim H2) as `full_oracle.full_h2`,
 and the representatives must be equal including the key order of each
 cochain: every sign vector with N <= 4 in both families, five rational
-omegas and a fixed sample of sign vectors at N = 5.
+omegas, a fixed sample of sign vectors at N = 5, seeded random algebras
+(one block) and CK algebras in a basis mixed within each sign character
+(brackets of nonzero character with several targets).
+
+The echelon that reduces each distinct row once must equal
+`full_oracle.full_build_echelon`, which reduces every row: the same pivots
+and leftovers, key order included, and the same `rank`, `nullspace` and
+`solve_many` results, on matrices with repeated, scaled and negated rows and
+on repeated inconsistent rows under right-hand sides.
 
 `are_coboundaries`, which solves only the sign-character blocks its cochains
 touch, must answer as `full_oracle.full_are_coboundaries` does: the same
@@ -18,14 +26,17 @@ from itertools import product
 
 import pytest
 
+import ckcoh.sparse
 from ckcoh.algebra import build_su_omega, build_u_omega
 from ckcoh.cochains import OneCochain, TwoCochain, pair_list
 from ckcoh.cohomology import NotACocycleError, are_coboundaries, delta, h2
 from ckcoh.extensions import BasicCoefficients, classify, extension_cocycle
 from ckcoh.omega import OmegaVector
+from ckcoh.sparse import SparseMatrix, _build_echelon, matvec, nullspace, rank, solve_many
 
-from full_oracle import full_are_coboundaries, full_h2
-from random_algebras import random_algebra
+from full_oracle import full_are_coboundaries, full_build_echelon, full_h2
+from random_algebras import graded_change_of_basis, random_algebra
+from test_scan_oracle import MATRICES
 
 RATIONAL = ("2/3,-1", "0,-1/2,0", "-2/3,1,5/2", "0,3/4,0,-2", "1/2,-3,2/5,7")
 
@@ -45,11 +56,25 @@ def _reps(res):
     return [list(xi.entries.items()) for xi in res.representatives]
 
 
-@pytest.mark.parametrize("build", [build_su_omega, build_u_omega], ids=["su", "u"])
-def test_block_solve_matches_the_full_system(build):
-    for text in _omegas():
-        omega = OmegaVector.parse(text)
-        g = build(omega.n, omega)
+def _algebras(kind):
+    if kind == "random":
+        return [random_algebra(random.Random(seed), max_dim=9) for seed in range(12)]
+    if kind == "graded":
+        rng = random.Random(7)
+        omegas = [OmegaVector.parse(t) for t in ("+,+", "0,-", "+,0,-", "0,0,0") + RATIONAL[:3]]
+        return [
+            graded_change_of_basis(build(omega.n, omega), rng)
+            for omega in omegas
+            for build in (build_su_omega, build_u_omega)
+        ]
+    build = build_su_omega if kind == "su" else build_u_omega
+    return [build(omega.n, omega) for omega in map(OmegaVector.parse, _omegas())]
+
+
+@pytest.mark.parametrize("kind", ["su", "u", "random", "graded"])
+def test_block_solve_matches_the_full_system(kind):
+    for g in _algebras(kind):
+        text = g.omega.tokens() if g.is_ck() else repr(g)
         block, full = h2(g), full_h2(g)
         assert _dims(block) == _dims(full), text
         assert _reps(block) == _reps(full), text
@@ -124,3 +149,76 @@ def test_touched_blocks_solve_matches_the_full_solve():
                 ours = _answers(are_coboundaries, g, batch, assume)
                 assert ours == _answers(full_are_coboundaries, g, batch, assume), g
     assert trivial > 1000
+
+
+def _state(ech):
+    pivots = [(col, list(prow.items())) for col, prow in ech.pivots]
+    return pivots, [list(row.items()) for row in ech.leftovers]
+
+
+def _ordered(rows):
+    return [None if row is None else list(row.items()) for row in rows]
+
+
+def _with_copies(matrix, rng):
+    """The matrix with copies of some rows inserted after their originals.
+
+    Each copy is the row itself, the row times -3/2 or the row negated.
+    """
+    rows = [dict(row) for row in matrix.data]
+    for at in sorted(rng.sample(range(len(rows)), min(12, len(rows))), reverse=True):
+        factor = rng.choice((1, 1, Fraction(-3, 2), -1))
+        copy = {c: v * factor for c, v in rows[at].items()}
+        rows.insert(rng.randint(at + 1, len(rows)), copy)
+    out = SparseMatrix(len(rows), matrix.cols)
+    out.data[:] = rows
+    return out
+
+
+def _rhs_list(matrix, rng):
+    """Consistent right-hand sides, and random ones that give copies of a row unequal values."""
+    out = []
+    for _ in range(2):
+        cols = rng.sample(range(matrix.cols), min(4, matrix.cols))
+        out.append(matvec(matrix, {c: Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for c in cols}))
+    out.append({r: rng.choice((1, 2)) for r in range(matrix.rows)})
+    return out
+
+
+def _repeated_inconsistent():
+    """Copies of a row, and of zero rows, whose right-hand sides disagree."""
+    matrix = SparseMatrix(8, 3)
+    matrix.data[:] = [{0: 1, 1: 2}, {0: 1, 1: 2}, {}, {0: 2, 1: 4}, {}, {0: 1, 1: 2}, {2: -3}, {2: 3}]
+    rhs = [{0: 1, 1: 2, 2: 1, 3: 2, 4: 1, 5: 2, 6: 1, 7: 1}, {1: 5, 5: 5, 7: -1}, {2: 4, 4: 4}]
+    return matrix, rhs
+
+
+def _echelon_cases():
+    rng = random.Random(41)
+    for matrix in MATRICES:
+        if not matrix.rows or not matrix.cols:
+            continue
+        yield matrix, _rhs_list(matrix, rng)
+        if matrix.rows > 600 or matrix.cols > 200:  # N = 4 systems, wide random ones: plain only
+            continue
+        copied = _with_copies(matrix, rng)
+        yield copied, _rhs_list(copied, rng)
+    yield _repeated_inconsistent()
+
+
+def test_each_distinct_row_once_matches_the_no_skip_echelon(monkeypatch):
+    skipped = 0
+    for matrix, rhs in _echelon_cases():
+        for rhs_list in ((), rhs):
+            ours = _build_echelon(matrix, rhs_list)
+            assert _state(ours) == _state(full_build_echelon(matrix, rhs_list))
+        ours = rank(matrix), _ordered(nullspace(matrix)), _ordered(solve_many(matrix, rhs))
+        with monkeypatch.context() as patch:
+            patch.setattr(ckcoh.sparse, "_build_echelon", full_build_echelon)
+            theirs = rank(matrix), _ordered(nullspace(matrix)), _ordered(solve_many(matrix, rhs))
+        assert ours == theirs
+        skipped += len({frozenset(row.items()) for row in matrix.data}) < matrix.rows
+    assert skipped > 30
+    matrix, rhs = _repeated_inconsistent()
+    ech = _build_echelon(matrix, rhs)
+    assert len(ech.leftovers) == 5 and solve_many(matrix, rhs) == [None, None, None]

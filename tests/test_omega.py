@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import ckcoh.omega
 from ckcoh.algebra import build_su_omega
 from ckcoh.extensions import classify
 from ckcoh.omega import OmegaVector, sign_vectors
@@ -129,3 +130,10 @@ def test_text_is_refused_and_sent_to_parse():
     with pytest.raises(TypeError, match="OmegaVector.parse"):
         classify("su", 2, "10")
     assert OmegaVector(OmegaVector([1, 0])) == OmegaVector.parse("1,0")
+
+
+def test_an_omega_vector_is_not_coerced_again(monkeypatch):
+    omega = OmegaVector.parse("2/3,0,-1")
+    monkeypatch.setattr(ckcoh.omega, "ratio", None)  # any call would raise
+    again = OmegaVector(omega)
+    assert again == omega and again.values is omega.values
