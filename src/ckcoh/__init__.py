@@ -2,7 +2,7 @@
 quasi-unitary Cayley-Klein families su_omega(N+1) and u_omega(N+1)."""
 
 from .algebra import LieAlgebra, build_su_omega, build_u_omega, jacobi_residual
-from .cochains import OneCochain, TwoCochain, pair_index, pair_list
+from .cochains import OneCochain, TwoCochain, pair_list
 from .cohomology import (
     CohomologyResult,
     NotACocycleError,
@@ -11,9 +11,7 @@ from .cohomology import (
     cocycle_system,
     delta,
     h2,
-    h2_dimensions,
     is_coboundary,
-    is_cocycle,
 )
 from .extensions import (
     BasicCoefficients,
@@ -38,7 +36,7 @@ from .realization import (
     metric_matrix,
     representation_defects,
 )
-from .sparse import SparseMatrix, matvec, nullspace, rank, solve, solve_many
+from .sparse import SparseMatrix, nullspace, rank, solve_many
 from .structure import (
     SignedPermutation,
     cartan_generator,
@@ -80,22 +78,17 @@ __all__ = [
     "extract_basic",
     "fundamental_matrices",
     "h2",
-    "h2_dimensions",
     "involution_automorphism",
     "is_coboundary",
-    "is_cocycle",
     "isometry_defect",
     "jacobi_residual",
-    "matvec",
     "metric_matrix",
     "nullspace",
-    "pair_index",
     "pair_list",
     "polarity_map",
     "rank",
     "representation_defects",
     "sign_vectors",
-    "solve",
     "solve_many",
     "subalgebra_closure_check",
     "table_rows",

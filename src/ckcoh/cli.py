@@ -12,7 +12,8 @@
 `table` refuses N > 10 (3^N rows) and `sweep` refuses N > 6 without --force.
 
 Omega lists are comma separated: signs (+, -, 0) or exact rationals (a/b).
-Exit codes: 0 success / match, 1 verification mismatch, 2 usage error.
+Exit codes: 0 success / match, 1 verification mismatch, 2 usage error
+(an unwritable --out or unreadable --golden path among them).
 `--format json` emits a machine-readable mirror with identical numeric
 content; `--out PATH` writes the payload to a file instead of stdout.
 CKCOH_THREADS caps the sweep worker pool (default: available cores).
@@ -418,7 +419,7 @@ def main(argv=None) -> int:
         return USAGE_ERROR
     try:
         return COMMANDS[args.command](args)
-    except (ValueError, IndexError) as exc:
+    except (ValueError, IndexError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR
 

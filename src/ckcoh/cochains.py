@@ -1,8 +1,6 @@
 """One- and two-cochains with implicit antisymmetry.
 
-A TwoCochain stores xi(X_i, X_j) only for i < j; reading (j, i) negates.  The
-pair (i, j) also numbers the unknowns of the cocycle linear system: column
-pair_index(i, j) in lexicographic order.
+A TwoCochain stores xi(X_i, X_j) only for i < j; reading (j, i) negates.
 """
 
 from __future__ import annotations
@@ -14,13 +12,6 @@ from .rationals import _lines, _reader, format_rational, parse_rational, ratio
 
 def pair_count(dim: int) -> int:
     return dim * (dim - 1) // 2
-
-
-def pair_index(dim: int, i: int, j: int) -> int:
-    """Column number of the unknown xi_ij, pairs (i<j) in lexicographic order."""
-    if not 0 <= i < j < dim:
-        raise IndexError(f"pair ({i},{j}) out of range for dim {dim}")
-    return i * (2 * dim - i - 1) // 2 + (j - i - 1)
 
 
 def pair_list(dim: int) -> list[tuple[int, int]]:
@@ -81,15 +72,6 @@ class TwoCochain:
         for k, v in other.entries.items():
             table[k] = table.get(k, 0) - v
         return TwoCochain(self.dim, table)
-
-    def to_vector(self) -> dict:
-        """Sparse coordinate vector over the pair columns."""
-        return {pair_index(self.dim, i, j): v for (i, j), v in self.entries.items()}
-
-    @classmethod
-    def from_vector(cls, dim: int, vec: dict) -> "TwoCochain":
-        pairs = pair_list(dim)
-        return cls(dim, {pairs[col]: v for col, v in vec.items() if v})
 
     def to_text(self) -> str:
         lines = [f"dim {self.dim}"]

@@ -133,10 +133,6 @@ def cocycle_defect(algebra: LieAlgebra, xi: TwoCochain):
     return ratio(max(map(abs, sums.values()), default=0))
 
 
-def is_cocycle(algebra: LieAlgebra, xi: TwoCochain) -> bool:
-    return cocycle_defect(algebra, xi) == 0
-
-
 def central_extension(algebra: LieAlgebra, xi: TwoCochain) -> LieAlgebra:
     """Algebra on r+1 generators with [X_i,X_j] = sum C_ij^k X_k + xi_ij Xi.
 
@@ -227,12 +223,6 @@ def _rank_off_block_0(algebra: LieAlgebra) -> int:
     for vec in wide:
         rest.absorb(_integer_row({k: c for k, c in vec if k not in targets}))
     return len(targets) + rest.rank
-
-
-def h2_dimensions(algebra: LieAlgebra) -> tuple[int, int, int]:
-    """(dim Z2, dim B2, dim H2) without computing representatives."""
-    res = h2(algebra, representatives=False)
-    return res.dim_Z2, res.dim_B2, res.dim_H2
 
 
 def is_coboundary(

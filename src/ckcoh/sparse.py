@@ -27,12 +27,11 @@ right-hand-side leftover is not skipped, as every such row is kept.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
-from .rationals import _lines, _reader, format_rational, parse_rational, ratio
+from .rationals import ratio
 
 
 class SparseMatrix:
@@ -47,13 +46,6 @@ class SparseMatrix:
         self.cols = cols
         self.data = [{} for _ in range(rows)]
 
-    @classmethod
-    def from_entries(cls, rows: int, cols: int, entries) -> "SparseMatrix":
-        m = cls(rows, cols)
-        for r, c, v in entries:
-            m.set(r, c, v)
-        return m
-
     def set(self, r: int, c: int, value):
         if not (0 <= r < self.rows and 0 <= c < self.cols):
             raise IndexError(f"entry ({r},{c}) outside {self.rows}x{self.cols}")
@@ -62,9 +54,6 @@ class SparseMatrix:
             self.data[r][c] = value
         else:
             self.data[r].pop(c, None)
-
-    def entry(self, r: int, c: int):
-        return self.data[r].get(c, 0)
 
     def nnz(self) -> int:
         return sum(len(row) for row in self.data)
@@ -78,48 +67,6 @@ class SparseMatrix:
 
     def __repr__(self):
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={self.nnz()})"
-
-    def to_text(self) -> str:
-        lines = [f"{self.rows} {self.cols}"]
-        for r, row in enumerate(self.data):
-            for c in sorted(row):
-                lines.append(f"{r} {c} {format_rational(row[c])}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    @_reader
-    def from_text(cls, text: str) -> "SparseMatrix":
-        rows = _lines(text)
-        if not rows:
-            raise ValueError("empty matrix file")
-        nr, nc = (int(t) for t in rows[0].split())
-        m = cls(nr, nc)
-        for line in rows[1:]:
-            r, c, v = line.split()
-            m.set(int(r), int(c), parse_rational(v))
-        return m
-
-    def to_json_obj(self) -> dict:
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "entries": [
-                [r, c, format_rational(row[c])]
-                for r, row in enumerate(self.data)
-                for c in sorted(row)
-            ],
-        }
-
-    @classmethod
-    @_reader
-    def from_json_obj(cls, obj) -> "SparseMatrix":
-        m = cls(obj["rows"], obj["cols"])
-        for r, c, v in obj["entries"]:
-            m.set(r, c, parse_rational(v))
-        return m
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True) + "\n"
 
 
 def _integer_row(row: dict) -> dict:
@@ -324,7 +271,7 @@ def nullspace(matrix: SparseMatrix) -> list[dict]:
     """Canonical kernel basis: one integer vector per free column, ascending.
 
     Vector for free column f has a positive entry at f and zeroes at every
-    other free column; verified exactly by matvec in the test suite.
+    other free column.
     """
     ech = _build_echelon(matrix)
     basis = []
@@ -333,19 +280,6 @@ def nullspace(matrix: SparseMatrix) -> list[dict]:
             continue
         basis.append(_integer_row(ech.back_substitute({free: Fraction(1)})))
     return basis
-
-
-def matvec(matrix: SparseMatrix, vec: dict) -> dict:
-    out = {}
-    for r, row in enumerate(matrix.data):
-        s = 0
-        for c, v in row.items():
-            xc = vec.get(c)
-            if xc:
-                s += v * xc
-        if s:
-            out[r] = ratio(s)
-    return out
 
 
 def solve_many(matrix: SparseMatrix, rhs_list) -> list:
@@ -367,7 +301,3 @@ def solve_many(matrix: SparseMatrix, rhs_list) -> list:
         solutions.append({c: ratio(v) for c, v in x.items() if v and c < cols})
     return solutions
 
-
-def solve(matrix: SparseMatrix, rhs: dict):
-    """One exact solution of matrix . x = rhs, or None if inconsistent."""
-    return solve_many(matrix, [rhs])[0]

@@ -37,11 +37,13 @@ from ckcoh.algebra import LieAlgebra, _build_ck, jacobi_residual
 from ckcoh.extensions import BasicCoefficients, ContractionReport, dim_h2_formula
 from ckcoh.generators import CKBasis, check_family, delta_selector, generator_names
 from ckcoh.omega import OmegaVector
-from ckcoh.cochains import OneCochain, TwoCochain, pair_count, pair_index
+from ckcoh.cochains import OneCochain, TwoCochain, pair_count
 from ckcoh.cohomology import CohomologyResult, NotACocycleError, cocycle_defect, cocycle_system
 from ckcoh.rationals import ratio
 from ckcoh.sparse import Echelon, SparseMatrix, _integer_row, nullspace, rank, solve_many
 from ckcoh.structure import SignedPermutation
+
+from pair_vectors import from_vector, pair_index, to_vector
 
 
 def _bracket_index(algebra: LieAlgebra) -> dict:
@@ -89,7 +91,7 @@ def full_h2(algebra, representatives: bool = True, check: bool = True) -> Cohomo
     reps = []
     for vec in kernel:
         if image.absorb(vec):
-            reps.append(TwoCochain.from_vector(algebra.dim, vec))
+            reps.append(from_vector(algebra.dim, vec))
     result = CohomologyResult(dim_z2, dim_b2, dim_z2 - dim_b2, reps)
     if len(reps) != result.dim_H2:
         raise AssertionError("representative extension lost independence")
@@ -115,7 +117,7 @@ def full_are_coboundaries(algebra: LieAlgebra, cochains, assume_cocycle: bool = 
                 raise NotACocycleError("a cochain is not a two-cocycle")
     matrix = full_coboundary_matrix(algebra)
     out = []
-    for sol in solve_many(matrix, [xi.to_vector() for xi in cochains]):
+    for sol in solve_many(matrix, [to_vector(xi) for xi in cochains]):
         out.append(None if sol is None else OneCochain(algebra.dim, sol))
     return out
 

@@ -13,9 +13,11 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from ckcoh.cochains import pair_count, pair_index
+from ckcoh.cochains import pair_count
 from ckcoh.rationals import ratio
 from ckcoh.sparse import Echelon, SparseMatrix, _strip_gcd
+
+from pair_vectors import pair_index
 
 
 class ScanEchelon(Echelon):

@@ -14,13 +14,7 @@ import pytest
 
 from ckcoh.algebra import build_su_omega, build_u_omega
 from ckcoh.cli import run_sweep
-from ckcoh.cochains import TwoCochain
-from ckcoh.cohomology import (
-    are_coboundaries,
-    cocycle_system,
-    delta,
-    h2_dimensions,
-)
+from ckcoh.cohomology import are_coboundaries, cocycle_system, delta, h2
 from ckcoh.extensions import (
     BasicCoefficients,
     appendix_violations,
@@ -38,10 +32,11 @@ from ckcoh.realization import (
     metric_matrix,
     representation_defects,
 )
-from ckcoh.sparse import matvec, nullspace
+from ckcoh.sparse import nullspace
 from ckcoh.structure import polarity_map, transport_constants
 
 import dense_oracle as oracle
+from pair_vectors import from_vector, matvec
 from random_algebras import random_algebra
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "table41_su_N3.golden")
@@ -70,6 +65,11 @@ def sweep():
     table = {(r["family"], r["n"], r["omega"]): r for r in results}
     table["_elapsed"] = elapsed
     return table
+
+
+def _dims(g) -> tuple:
+    res = h2(g, representatives=False)
+    return res.dim_Z2, res.dim_B2, res.dim_H2
 
 
 def _zeros(omega_csv: str) -> tuple:
@@ -184,7 +184,7 @@ def test_criterion_08_appendix_invariants():
                     if matvec(system, vec) != {}:
                         bad.append((family, tuple(om), "kernel vector fails system"))
                         continue
-                    xi = TwoCochain.from_vector(g.dim, vec)
+                    xi = from_vector(g.dim, vec)
                     violations = appendix_violations(g, xi)
                     if violations:
                         bad.append((family, tuple(om), violations[0]))
@@ -230,13 +230,13 @@ def test_criterion_11_oracle_equivalence():
     rng = random.Random(31415)
     for i in range(50):
         g = random_algebra(rng, max_dim=10)
-        if h2_dimensions(g) != oracle.h2_dimensions_dense(g):
+        if _dims(g) != oracle.h2_dimensions_dense(g):
             bad.append(("random", i))
     for family, build in (("su", build_su_omega), ("u", build_u_omega)):
         for n in range(1, 4):
             for om in sign_vectors(n):
                 g = build(n, om)
-                if h2_dimensions(g) != oracle.h2_dimensions_dense(g):
+                if _dims(g) != oracle.h2_dimensions_dense(g):
                     bad.append((family, tuple(om)))
     _report(
         "11 dense pivot-free oracle agreement (50 random + CK N<=3)", not bad

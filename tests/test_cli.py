@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -9,6 +11,7 @@ from ckcoh.algebra import LieAlgebra
 from ckcoh.cli import _sweep_workers, main
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run_cli(capsys, *argv):
@@ -140,6 +143,27 @@ def test_table_against_golden(capsys, tmp_path):
     code, _, err = run_cli(capsys, "table", "su", "3", "--golden", str(broken))
     assert code == 1
     assert "mismatch" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["h2", "su", "2", "+,+", "--out", "{tmp}/missing/dir/x"],
+        ["h2", "su", "2", "+,+", "--out", "{tmp}"],
+        ["table", "su", "3", "--golden", "{tmp}/missing.golden"],
+    ],
+    ids=["out-in-missing-dir", "out-is-a-directory", "golden-missing"],
+)
+def test_unusable_path_is_a_usage_error(tmp_path, argv):
+    # a file the command cannot open is a usage error (2), not a mismatch (1)
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-m", "ckcoh.cli", *argv], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_table_json_rows(capsys):

@@ -35,6 +35,8 @@ from ckcoh.generators import CKBasis
 from ckcoh.omega import OmegaVector, sign_vectors
 from ckcoh.sparse import nullspace
 
+from pair_vectors import from_vector
+
 BUILDERS = (("su", build_su_omega), ("u", build_u_omega))
 
 
@@ -272,7 +274,7 @@ def test_rebuild_check_flags_exactly_the_non_cocycles():
             c = rng.randint(-3, 3)
             for col, v in vec.items():
                 base[col] = base.get(col, 0) + c * v
-        cocycle = TwoCochain.from_vector(g.dim, base)
+        cocycle = from_vector(g.dim, base)
         assert appendix_violations(g, cocycle) == [], (family, om)
         for pair in pair_list(g.dim):
             entries = dict(cocycle.entries)

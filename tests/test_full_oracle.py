@@ -32,9 +32,10 @@ from ckcoh.cochains import OneCochain, TwoCochain, pair_list
 from ckcoh.cohomology import NotACocycleError, are_coboundaries, delta, h2
 from ckcoh.extensions import BasicCoefficients, classify, extension_cocycle
 from ckcoh.omega import OmegaVector
-from ckcoh.sparse import SparseMatrix, _build_echelon, matvec, nullspace, rank, solve_many
+from ckcoh.sparse import SparseMatrix, _build_echelon, nullspace, rank, solve_many
 
 from full_oracle import full_are_coboundaries, full_build_echelon, full_h2
+from pair_vectors import matvec
 from random_algebras import graded_change_of_basis, random_algebra
 from test_scan_oracle import MATRICES
 

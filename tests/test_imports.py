@@ -2,7 +2,9 @@
 
 A stdlib `ast` walk: every name bound by an import statement must be read
 somewhere in the same module, in code or in a string annotation.  The
-package `__init__.py` is exempt, since its imports are re-exports.
+package `__init__.py` is exempt, since its imports are re-exports; its
+`__all__` must list exactly the names it imports, so a star import neither
+misses a re-export nor names one that is gone.
 """
 
 import ast
@@ -50,3 +52,19 @@ def test_every_imported_name_is_used():
         used = _used(tree)
         unused += [f"{path.name}:{line} {name}" for name, line in _imported(tree) if name not in used]
     assert not unused, unused
+
+
+def test_all_lists_exactly_the_reexports():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imported = [name for name, _ in _imported(tree)]
+    listed = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+    )
+    assert sorted(set(listed) ^ set(imported)) == []
+    assert len(listed) == len(set(listed))
+    namespace = {}
+    exec("from ckcoh import *", namespace)
+    assert set(listed) <= set(namespace)

@@ -4,7 +4,9 @@ from ckcoh.algebra import build_su_omega, build_u_omega, jacobi_residual
 from ckcoh.cohomology import cocycle_system, h2, is_coboundary
 from ckcoh.extensions import appendix_violations, dim_h2_formula
 from ckcoh.omega import OmegaVector, sign_vectors
-from ckcoh.sparse import matvec, nullspace
+from ckcoh.sparse import nullspace
+
+from pair_vectors import from_vector, matvec
 
 
 def test_jacobi_identity_exhaustive_n_le_4():
@@ -50,9 +52,7 @@ def test_every_kernel_vector_satisfies_appendix_relations_n_le_3():
                 system = cocycle_system(g)
                 for vec in nullspace(system):
                     assert matvec(system, vec) == {}
-                    from ckcoh.cochains import TwoCochain
-
-                    xi = TwoCochain.from_vector(g.dim, vec)
+                    xi = from_vector(g.dim, vec)
                     assert appendix_violations(g, xi) == [], (family, tuple(om))
 
 

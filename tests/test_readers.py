@@ -17,7 +17,6 @@ from ckcoh.algebra import LieAlgebra, build_su_omega, build_u_omega
 from ckcoh.cochains import OneCochain, TwoCochain
 from ckcoh.extensions import BasicCoefficients
 from ckcoh.omega import OmegaVector
-from ckcoh.sparse import SparseMatrix
 
 MUTANTS = 300
 CHARS = "0123456789-+/ .,:#\n\t\"'[]{}esuIX−"
@@ -85,7 +84,6 @@ def _fuzz(read, mutants):
 G = build_u_omega(2, [Fraction(1, 2), 0])
 XI = TwoCochain(6, {(0, 1): 2, (1, 4): Fraction(-3, 5), (2, 5): 1})
 MU = OneCochain(7, {0: 1, 3: Fraction(2, 3), 6: -4})
-MATRIX = SparseMatrix.from_entries(3, 5, [(0, 1, Fraction(-7, 3)), (2, 0, 5), (2, 4, 1)])
 COEFFS = BasicCoefficients(
     eta={(0, 2): 1}, tau={(1, 2): Fraction(1, 2)}, alpha={2: -1}, beta={(1, 2): 3}, gamma={1: 2}
 )
@@ -93,14 +91,12 @@ COEFFS = BasicCoefficients(
 TEXT_READERS = [
     ("LieAlgebra", LieAlgebra.from_text, [G.to_text(), build_su_omega(1, [0]).to_text()]),
     ("TwoCochain", TwoCochain.from_text, [XI.to_text()]),
-    ("SparseMatrix", SparseMatrix.from_text, [MATRIX.to_text()]),
     ("OmegaVector", OmegaVector.parse, ["+,0,-1/2,3", "−,2/7,0"]),
 ]
 JSON_READERS = [
     ("LieAlgebra", LieAlgebra.from_json_obj, G.to_json_obj()),
     ("TwoCochain", TwoCochain.from_json_obj, XI.to_json_obj()),
     ("OneCochain", OneCochain.from_json_obj, MU.to_json_obj()),
-    ("SparseMatrix", SparseMatrix.from_json_obj, MATRIX.to_json_obj()),
     ("BasicCoefficients", BasicCoefficients.from_json_obj, COEFFS.to_json_obj()),
 ]
 

@@ -19,8 +19,9 @@ from ckcoh.cochains import TwoCochain, pair_list
 from ckcoh.cohomology import are_coboundaries, cocycle_defect, cocycle_system, h2
 from ckcoh.omega import OmegaVector, sign_vectors
 from ckcoh.rationals import ratio
-from ckcoh.sparse import SparseMatrix, _build_echelon, matvec, nullspace, solve_many
+from ckcoh.sparse import SparseMatrix, _build_echelon, nullspace, solve_many
 
+from pair_vectors import from_vector, matvec
 from random_algebras import random_algebra
 from scan_oracle import (
     ScanEchelon,
@@ -163,7 +164,7 @@ def test_echelon_indexes_hold_their_invariant():
 
 
 def _kernel_cochains(g):
-    return [TwoCochain.from_vector(g.dim, vec) for vec in nullspace(cocycle_system(g))]
+    return [from_vector(g.dim, vec) for vec in nullspace(cocycle_system(g))]
 
 
 def _random_cochains(g, rng, count):
