@@ -243,6 +243,10 @@ def cmd_table(args) -> int:
             f"N={args.N} exceeds the default bound {TABLE_MAX_N} "
             "(3^N rows); pass --force to override"
         )
+    golden = None
+    if args.golden:
+        with open(args.golden, "r", encoding="utf-8") as handle:
+            golden = handle.read()
     rows = table_rows(args.family, args.N)
     if args.format == "json":
         content = _json_text(
@@ -263,11 +267,8 @@ def cmd_table(args) -> int:
     else:
         content = format_table(rows)
     _emit(content, args.out)
-    if args.golden:
-        with open(args.golden, "r", encoding="utf-8") as handle:
-            golden = handle.read()
-        text = format_table(rows)
-        if text != golden:
+    if golden is not None:
+        if format_table(rows) != golden:
             sys.stderr.write(f"golden mismatch against {args.golden}\n")
             return MISMATCH
         sys.stderr.write("golden: MATCH\n")

@@ -10,6 +10,10 @@ Every realized generator X obeys  X^dagger I_w + I_w X = 0  for the metric
 matrix I_w = diag(1, w_01, w_02, ..., w_0N), and the matrix commutators
 reproduce the structure constants exactly.  Entries are exact rationals,
 stored as separate real and imaginary parts.
+
+A realized generator has at most N+1 nonzero entries, so matrices are held
+as a map of those entries and every product and check costs what they hold.
+Dense rows exist only for output.
 """
 
 from __future__ import annotations
@@ -21,32 +25,49 @@ from .rationals import format_rational, ratio
 
 
 class ComplexMatrix:
-    """Square matrix of exact complex rationals (re, im stored separately)."""
+    """Square matrix of exact complex rationals, held as its nonzero entries.
 
-    __slots__ = ("size", "re", "im")
+    `entries` maps (row, col) to (re, im); an entry whose parts are both zero
+    is not stored, so the zero matrix has no entries.
+    """
 
-    def __init__(self, size, re=None, im=None):
-        def grid(rows):
-            if rows is None:
-                return [[0] * size for _ in range(size)]
-            if len(rows) != size or any(len(r) != size for r in rows):
-                raise ValueError("matrix shape mismatch")
-            return [[ratio(x) for x in row] for row in rows]
+    __slots__ = ("size", "entries")
 
+    def __init__(self, size, entries=None):
         self.size = size
-        self.re = grid(re)
-        self.im = grid(im)
+        self.entries = {}
+        for (r, c), (re, im) in (entries or {}).items():
+            if not (0 <= r < size and 0 <= c < size):
+                raise IndexError(f"matrix entry ({r},{c}) outside size {size}")
+            re, im = ratio(re), ratio(im)
+            if re or im:
+                self.entries[r, c] = (re, im)
 
     def __eq__(self, other):
         return (
             isinstance(other, ComplexMatrix)
             and self.size == other.size
-            and self.re == other.re
-            and self.im == other.im
+            and self.entries == other.entries
         )
 
     def __repr__(self):
         return "ComplexMatrix([" + ", ".join(self.format_rows()) + "])"
+
+    def _grid(self, part):
+        grid = [[0] * self.size for _ in range(self.size)]
+        for (r, c), value in self.entries.items():
+            grid[r][c] = value[part]
+        return grid
+
+    @property
+    def re(self) -> list[list]:
+        """Dense rows of the real parts, for output."""
+        return self._grid(0)
+
+    @property
+    def im(self) -> list[list]:
+        """Dense rows of the imaginary parts, for output."""
+        return self._grid(1)
 
     def format_rows(self) -> list[str]:
         """One `[a, b+ci, c-di, ...]` string per row, entries exact."""
@@ -62,112 +83,68 @@ class ComplexMatrix:
         return rows
 
     def is_zero(self) -> bool:
-        return all(not v for row in self.re for v in row) and all(
-            not v for row in self.im for v in row
-        )
-
-    def __add__(self, other):
-        n = self.size
-        return ComplexMatrix(
-            n,
-            [[self.re[r][c] + other.re[r][c] for c in range(n)] for r in range(n)],
-            [[self.im[r][c] + other.im[r][c] for c in range(n)] for r in range(n)],
-        )
-
-    def __sub__(self, other):
-        n = self.size
-        return ComplexMatrix(
-            n,
-            [[self.re[r][c] - other.re[r][c] for c in range(n)] for r in range(n)],
-            [[self.im[r][c] - other.im[r][c] for c in range(n)] for r in range(n)],
-        )
-
-    def scaled(self, factor) -> "ComplexMatrix":
-        factor = ratio(factor)
-        n = self.size
-        return ComplexMatrix(
-            n,
-            [[factor * v for v in row] for row in self.re],
-            [[factor * v for v in row] for row in self.im],
-        )
+        return not self.entries
 
     def __matmul__(self, other):
-        n = self.size
-        re = [[0] * n for _ in range(n)]
-        im = [[0] * n for _ in range(n)]
-        for r in range(n):
-            are, aim = self.re[r], self.im[r]
-            for k in range(n):
-                xr, xi = are[k], aim[k]
-                if not xr and not xi:
-                    continue
-                bre, bim = other.re[k], other.im[k]
-                rr, ri = re[r], im[r]
-                for c in range(n):
-                    yr, yi = bre[c], bim[c]
-                    if yr or yi:
-                        rr[c] += xr * yr - xi * yi
-                        ri[c] += xr * yi + xi * yr
-        return ComplexMatrix(n, re, im)
-
-    def commutator(self, other) -> "ComplexMatrix":
-        return self @ other - other @ self
+        row_of = {}
+        for (k, c), value in other.entries.items():
+            row_of.setdefault(k, []).append((c, value))
+        out = {}
+        for (r, k), (xr, xi) in self.entries.items():
+            for c, (yr, yi) in row_of.get(k, ()):
+                re, im = out.get((r, c), (0, 0))
+                out[r, c] = (re + xr * yr - xi * yi, im + xr * yi + xi * yr)
+        return _exact(self.size, out)
 
     def conjugate_transpose(self) -> "ComplexMatrix":
-        n = self.size
-        return ComplexMatrix(
-            n,
-            [[self.re[c][r] for c in range(n)] for r in range(n)],
-            [[-self.im[c][r] for c in range(n)] for r in range(n)],
+        return _exact(
+            self.size, {(c, r): (re, -im) for (r, c), (re, im) in self.entries.items()}
         )
 
     def trace(self):
-        tre = sum(self.re[r][r] for r in range(self.size))
-        tim = sum(self.im[r][r] for r in range(self.size))
-        return ratio(tre), ratio(tim)
+        diagonal = [value for (r, c), value in self.entries.items() if r == c]
+        return ratio(sum(v[0] for v in diagonal)), ratio(sum(v[1] for v in diagonal))
 
 
-def _unit(n, r, c):
-    g = [[0] * n for _ in range(n)]
-    g[r][c] = 1
-    return g
+def _exact(size, entries) -> ComplexMatrix:
+    """A matrix over entries that are already exact, its zero entries dropped."""
+    mat = ComplexMatrix(size)
+    mat.entries = {key: value for key, value in entries.items() if value[0] or value[1]}
+    return mat
+
+
+def _combination(size, terms) -> ComplexMatrix:
+    """sum c * X over the (c, X) pairs of `terms`, each c an exact real scalar."""
+    out = {}
+    for factor, mat in terms:
+        for key, (re, im) in mat.entries.items():
+            ore, oim = out.get(key, (0, 0))
+            out[key] = (ore + factor * re, oim + factor * im)
+    return _exact(size, out)
 
 
 def fundamental_matrices(N: int, omega, family: str) -> list[ComplexMatrix]:
     """Realized generators in canonical order, (N+1)x(N+1) each."""
     omega = OmegaVector(omega)
-    basis = _basis(N, family)
-    n = N + 1
-    mats = []
-    for a, b in basis.index_pairs():
-        re = _unit(n, b, a)
-        re[a][b] = -omega.product(a, b)
-        mats.append(ComplexMatrix(n, re, None))
-    for a, b in basis.index_pairs():
-        im = _unit(n, b, a)
-        im[a][b] = omega.product(a, b)
-        mats.append(ComplexMatrix(n, None, im))
-    for l in range(1, N + 1):
-        im = [[0] * n for _ in range(n)]
-        im[l - 1][l - 1] = 1
-        im[l][l] = -1
-        mats.append(ComplexMatrix(n, None, im))
+    pairs = list(_basis(N, family).index_pairs())
+    n, w = N + 1, omega.product
+    mats = [ComplexMatrix(n, {(a, b): (-w(a, b), 0), (b, a): (1, 0)}) for a, b in pairs]
+    mats += [ComplexMatrix(n, {(a, b): (0, w(a, b)), (b, a): (0, 1)}) for a, b in pairs]
+    mats += [ComplexMatrix(n, {(l - 1, l - 1): (0, 1), (l, l): (0, -1)}) for l in range(1, N + 1)]
     if family == "u":
-        mats.append(ComplexMatrix(n, None, [[1 if r == c else 0 for c in range(n)] for r in range(n)]))
+        mats.append(ComplexMatrix(n, {(a, a): (0, 1) for a in range(n)}))
     return mats
 
 
 def metric_matrix(N: int, omega) -> ComplexMatrix:
     """I_w = diag(1, w_01, w_02, ..., w_0N)."""
     omega = OmegaVector(omega)
-    n = N + 1
-    re = [[omega.product(0, r) if r == c else 0 for c in range(n)] for r in range(n)]
-    return ComplexMatrix(n, re, None)
+    return ComplexMatrix(N + 1, {(r, r): (omega.product(0, r), 0) for r in range(N + 1)})
 
 
 def isometry_defect(mat: ComplexMatrix, metric: ComplexMatrix) -> ComplexMatrix:
     """X^dagger I_w + I_w X; the zero matrix exactly when X is an isometry."""
-    return mat.conjugate_transpose() @ metric + metric @ mat
+    return _combination(mat.size, [(1, mat.conjugate_transpose() @ metric), (1, metric @ mat)])
 
 
 def representation_defects(algebra: LieAlgebra, mats: list[ComplexMatrix]):
@@ -175,9 +152,8 @@ def representation_defects(algebra: LieAlgebra, mats: list[ComplexMatrix]):
     bad = []
     for i in range(algebra.dim):
         for j in range(i + 1, algebra.dim):
-            want = mats[i].commutator(mats[j])
-            for k, c in algebra.bracket(i, j):
-                want = want - mats[k].scaled(c)
-            if not want.is_zero():
+            terms = [(1, mats[i] @ mats[j]), (-1, mats[j] @ mats[i])]
+            terms += [(-c, mats[k]) for k, c in algebra.bracket(i, j)]
+            if not _combination(mats[i].size, terms).is_zero():
                 bad.append((i, j))
     return bad

@@ -6,6 +6,10 @@ nonzero entry wins), no fraction-free tricks, and its own assembly of the
 two-cocycle and two-coboundary systems straight from the bracket definitions.
 It shares no code with ckcoh.sparse / ckcoh.cohomology so it can arbitrate
 them.
+
+It also holds a dense complex product for the realization check: square
+matrices as (re, im) pairs of full grids, multiplied cell by cell, to arbitrate
+the entry-map arithmetic of ckcoh.realization.
 """
 
 from fractions import Fraction
@@ -136,3 +140,72 @@ def h2_dimensions_dense(algebra):
     dim_z2 = npairs - row_echelon_rank(nonzero)
     dim_b2 = row_echelon_rank(coboundary_rows_dense(algebra))
     return dim_z2, dim_b2, dim_z2 - dim_b2
+
+
+def complex_grids(mat):
+    """A realized matrix as an (re, im) pair of dense grids."""
+    return mat.re, mat.im
+
+
+def complex_product(a, b):
+    """Dense product of two (re, im) grid pairs of the same size."""
+    (are, aim), (bre, bim) = a, b
+    n = len(are)
+    re = [[0] * n for _ in range(n)]
+    im = [[0] * n for _ in range(n)]
+    for r in range(n):
+        for k in range(n):
+            xr, xi = are[r][k], aim[r][k]
+            if not xr and not xi:
+                continue
+            for c in range(n):
+                re[r][c] += xr * bre[k][c] - xi * bim[k][c]
+                im[r][c] += xr * bim[k][c] + xi * bre[k][c]
+    return re, im
+
+
+def complex_combination(terms):
+    """sum c * X over (c, X) pairs, each X an (re, im) grid pair, c real."""
+    n = len(terms[0][1][0])
+    re = [[0] * n for _ in range(n)]
+    im = [[0] * n for _ in range(n)]
+    for factor, (xre, xim) in terms:
+        for r in range(n):
+            for c in range(n):
+                re[r][c] += factor * xre[r][c]
+                im[r][c] += factor * xim[r][c]
+    return re, im
+
+
+def complex_commutator(a, b):
+    return complex_combination([(1, complex_product(a, b)), (-1, complex_product(b, a))])
+
+
+def _is_zero(grids):
+    return all(x == 0 for grid in grids for row in grid for x in row)
+
+
+def representation_defects_dense(algebra, mats):
+    """Pairs (i, j) whose dense commutator differs from sum_k C_ij^k rho(X_k)."""
+    grids = [complex_grids(m) for m in mats]
+    bad = []
+    for i in range(algebra.dim):
+        for j in range(i + 1, algebra.dim):
+            terms = [(1, complex_commutator(grids[i], grids[j]))]
+            terms += [(-c, grids[k]) for k, c in algebra.bracket(i, j)]
+            if not _is_zero(complex_combination(terms)):
+                bad.append((i, j))
+    return bad
+
+
+def is_isometry_dense(mat, metric):
+    """Whether X^dagger I_w + I_w X is zero, by dense products."""
+    re, im = complex_grids(mat)
+    n = len(re)
+    dagger = (
+        [[re[c][r] for c in range(n)] for r in range(n)],
+        [[-im[c][r] for c in range(n)] for r in range(n)],
+    )
+    met = complex_grids(metric)
+    terms = [(1, complex_product(dagger, met)), (1, complex_product(met, (re, im)))]
+    return _is_zero(complex_combination(terms))

@@ -199,7 +199,7 @@ def test_criterion_08_appendix_invariants():
 def test_criterion_09_representation_fidelity():
     bad = []
     for family, build in (("su", build_su_omega), ("u", build_u_omega)):
-        for n in range(1, 5):
+        for n in range(1, 6):
             for om in sign_vectors(n):
                 g = build(n, om)
                 mats = fundamental_matrices(n, om, family)
@@ -209,7 +209,7 @@ def test_criterion_09_representation_fidelity():
                 met = metric_matrix(n, om)
                 if not all(isometry_defect(m, met).is_zero() for m in mats):
                     bad.append((family, tuple(om), "metric"))
-    _report("9 fundamental representation fidelity (N<=4)", not bad)
+    _report("9 fundamental representation fidelity (N<=5)", not bad)
 
 
 def test_criterion_10_polarity():

@@ -162,6 +162,7 @@ def test_unusable_path_is_a_usage_error(tmp_path, argv):
         [sys.executable, "-m", "ckcoh.cli", *argv], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 2
+    assert proc.stdout == ""
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
 
@@ -217,6 +218,9 @@ def test_negative_n_rejected(capsys):
     [
         (("h2", "u", "3", "0,0,0", "--format", "json"), "h2_u_3_000.json"),
         (("h2", "su", "3", "0,+,0"), "h2_su_3_0p0.txt"),
+        (("rep", "su", "2", "+,0"), "rep_su_2_p0.txt"),
+        (("rep", "u", "3", "0,1/2,-"), "rep_u_3_0hm.txt"),
+        (("rep", "u", "3", "0,1/2,-", "--format", "json"), "rep_u_3_0hm.json"),
     ],
 )
 def test_h2_small_n_golden_bytes(capsys, argv, golden):
