@@ -18,6 +18,16 @@ with brackets (a < b < c throughout, sel the four-delta selector):
 
 and every bracket with four distinct J/M indices vanishing.
 
+Every member of a family has that one bracket pattern: omega enters only
+through the products w_ab.  So the builders share one skeleton per
+(N, family), `_ck_skeleton`, which holds the pattern with each coefficient
+as a slot (a constant, or a constant times w_ab), the sign characters and
+the generator names.  It passes through `LieAlgebra.__init__` once, when it
+is made.  An algebra is its skeleton filled at omega: the P = N(N+1)/2
+weights by w_ac = w_a,c-1 omega_c, the 3P slots w_ab, -w_ab, -2 w_ab, then
+the table and its index by target written directly, in table order, with
+the brackets of zero slots left out, as `LieAlgebra` would keep them.
+
 Every cyclic sum over generator triples (the Jacobi identity here, the
 cocycle condition and its system in `cohomology`) is one walk, `_cyclic_terms`:
 from the nonzero values on pairs through the brackets indexed by target.
@@ -25,6 +35,7 @@ from the nonzero values on pairs through the brackets indexed by target.
 
 from __future__ import annotations
 
+import functools
 import json
 from math import comb
 
@@ -69,13 +80,8 @@ class LieAlgebra:
                 table[(i, j)] = tuple(cleaned)
                 for k, c in cleaned:
                     into.setdefault(k, []).append((i, j, c))
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "constants", table)
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "omega", omega)
-        object.__setattr__(self, "names", tuple(names) if names else None)
-        object.__setattr__(self, "_into", into)
-        object.__setattr__(self, "_chars", [0] * dim)
+        names = tuple(names) if names else None
+        _set_facts(self, dim, table, family, omega, names, into, [0] * dim)
 
     def __setattr__(self, name, value):
         raise AttributeError("LieAlgebra is immutable")
@@ -186,6 +192,12 @@ class LieAlgebra:
         return json.dumps(self.to_json_obj(), indent=2, sort_keys=True) + "\n"
 
 
+def _set_facts(algebra, *values):
+    """Set every slot of a new `LieAlgebra`, in `__slots__` order."""
+    for name, value in zip(LieAlgebra.__slots__, values, strict=True):
+        object.__setattr__(algebra, name, value)
+
+
 def _from_table(cls, dim: int, table: dict, family, omega) -> LieAlgebra:
     """The algebra read; under a CK header, the builder's own when the tables agree.
 
@@ -247,62 +259,156 @@ def jacobi_residual(algebra: LieAlgebra) -> Scalar:
     return ratio(top)
 
 
-def _ck_structure(basis: CKBasis, omega: OmegaVector):
-    """Structure-constant table for su_omega / u_omega in canonical indexing.
+# The constant slots of a skeleton come first; slot 4 + 3n + (0, 1, 2) is
+# w_ab, -w_ab, -2 w_ab of the n-th pair a < b in canonical order.
+_CONSTANTS = (1, -1, 2, -2)
+_CONSTANT_SLOT = {v: n for n, v in enumerate(_CONSTANTS)}
 
-    Indices and omega products are looked up per pair, from the basis's
-    table.  A constant is zero where its omega product vanishes; `LieAlgebra`
-    drops those and checks every pair and index.
+
+class _CKSkeleton:
+    """The bracket table of su_omega / u_omega at one (N, family), omega left open.
+
+    `pairs`, `targets` and `slots` hold the brackets in table order, one
+    column each: [X_p, X_q] is the sum over the targets k of the slot's value
+    times X_k.  A slot is a constant of `_CONSTANTS` or w_ab, -w_ab or
+    -2 w_ab for one pair a < b, so one table serves every omega.  Equal
+    targets tuples and slots are one object each, and every filled table
+    keys its brackets by the skeleton's pairs, so an algebra at N = 30 holds
+    no second copy of them.  `chars` are the sign characters:
+    sigma_S, S a subset of {0..N}, scales a generator of mask chi by
+    (-1)^|S & chi|, with chi = e_a + e_b on J_ab and M_ab, 0 on B_l and I.
+    Immutable: the library shares one skeleton per basis (`_ck_skeleton`).
     """
-    N, P = basis.N, basis.pair_count
-    J, b = basis._j, basis.b
-    w = {pair: omega.product(*pair) for pair in J}
-    table = {}
-    for a in range(N - 1):
-        for bb in range(a + 1, N):
-            ab, w_ab = J[a, bb], w[a, bb]
-            for c in range(bb + 1, N + 1):
-                ac, bc, w_bc = J[a, c], J[bb, c], w[bb, c]
-                table[ab, ac] = [(bc, w_ab)]
-                table[ab, bc] = [(ac, -1)]
-                table[ac, bc] = [(ab, w_bc)]
-                table[P + ab, P + ac] = [(bc, w_ab)]
-                table[P + ab, P + bc] = [(ac, 1)]
-                table[P + ac, P + bc] = [(ab, w_bc)]
-                table[ab, P + ac] = [(P + bc, w_ab)]
-                table[ac, P + ab] = [(P + bc, w_ab)]
-                table[ab, P + bc] = [(P + ac, -1)]
-                table[bc, P + ab] = [(P + ac, 1)]
-                table[ac, P + bc] = [(P + ab, -w_bc)]
-                table[bc, P + ac] = [(P + ab, -w_bc)]
-    for (a, bb), ab in J.items():
-        w_ab = w[a, bb]
-        if w_ab != 0:
-            table[ab, P + ab] = [(b(s), -2 * w_ab) for s in range(a + 1, bb + 1)]
-        for l in range(1, N + 1):
-            sel = delta_selector(a, bb, l)
-            if sel:
-                table[ab, b(l)] = [(P + ab, sel)]
-                table[P + ab, b(l)] = [(ab, -sel)]
-    return table
+
+    __slots__ = ("basis", "pairs", "targets", "slots", "chars", "names")
+
+    def __init__(self, basis: CKBasis):
+        N, P = basis.N, basis.pair_count
+        J, b = basis._j, basis.b
+        w = {pair: len(_CONSTANTS) + 3 * n for n, pair in enumerate(J)}  # slot of w_ab
+        one, minus_one = _CONSTANT_SLOT[1], _CONSTANT_SLOT[-1]
+        pairs, columns, slots = [], [], []
+        shared = {}  # one object per distinct targets tuple and per slot
+
+        def put(p, q, targets, slot):
+            pairs.append((p, q))
+            columns.append(shared.setdefault(targets, targets))
+            slots.append(shared.setdefault(slot, slot))
+
+        for a in range(N - 1):
+            for bb in range(a + 1, N):
+                ab, w_ab = J[a, bb], w[a, bb]
+                for c in range(bb + 1, N + 1):
+                    ac, bc, w_bc = J[a, c], J[bb, c], w[bb, c]
+                    put(ab, ac, (bc,), w_ab)
+                    put(ab, bc, (ac,), minus_one)
+                    put(ac, bc, (ab,), w_bc)
+                    put(P + ab, P + ac, (bc,), w_ab)
+                    put(P + ab, P + bc, (ac,), one)
+                    put(P + ac, P + bc, (ab,), w_bc)
+                    put(ab, P + ac, (P + bc,), w_ab)
+                    put(ac, P + ab, (P + bc,), w_ab)
+                    put(ab, P + bc, (P + ac,), minus_one)
+                    put(bc, P + ab, (P + ac,), one)
+                    put(ac, P + bc, (P + ab,), w_bc + 1)
+                    put(bc, P + ac, (P + ab,), w_bc + 1)
+        chars = [0] * basis.dim
+        for (a, bb), ab in J.items():
+            put(ab, P + ab, tuple(b(s) for s in range(a + 1, bb + 1)), w[a, bb] + 2)
+            for l in range(1, N + 1):
+                sel = delta_selector(a, bb, l)
+                if sel:
+                    put(ab, b(l), (P + ab,), _CONSTANT_SLOT[sel])
+                    put(P + ab, b(l), (ab,), _CONSTANT_SLOT[-sel])
+            chars[ab] = chars[P + ab] = (1 << a) | (1 << bb)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "pairs", tuple(pairs))
+        object.__setattr__(self, "targets", tuple(columns))
+        object.__setattr__(self, "slots", tuple(slots))
+        object.__setattr__(self, "chars", tuple(chars))
+        object.__setattr__(self, "names", basis.names())
+
+    def __setattr__(self, name, value):
+        raise AttributeError("_CKSkeleton is immutable")
+
+    def fill(self, omega: OmegaVector):
+        """`constants` and `_into` of the algebra at omega, in table order.
+
+        The weights come from w_ac = w_a,c-1 omega_c, and a bracket whose
+        slot is zero is left out, as `LieAlgebra` drops a zero constant.
+        """
+        values = list(_CONSTANTS)
+        N, w = self.basis.N, omega.values
+        for a in range(N):
+            prod = 1
+            for c in range(a, N):
+                prod = ratio(prod * w[c])
+                values += (prod, -prod, ratio(-2 * prod))
+        constants, into = {}, {}
+        for pair, targets, slot in zip(self.pairs, self.targets, self.slots):
+            c = values[slot]
+            if not c:
+                continue
+            i, j = pair
+            if len(targets) == 1:  # all but the P brackets [J_ab, M_ab]
+                k = targets[0]
+                constants[pair] = ((k, c),)
+                if k in into:
+                    into[k].append((i, j, c))
+                else:
+                    into[k] = [(i, j, c)]
+                continue
+            constants[pair] = tuple([(k, c) for k in targets])
+            for k in targets:
+                if k in into:
+                    into[k].append((i, j, c))
+                else:
+                    into[k] = [(i, j, c)]
+        return constants, into
+
+    def check(self):
+        """Raise unless `LieAlgebra` keeps the table filled at omega = (1, ..., 1) as it is.
+
+        Its pairs, targets and order are then what `LieAlgebra` checks for
+        every table, and a zero slot drops only whole brackets, so every
+        `fill` gives what `LieAlgebra` would make of it.  The index by target
+        follows from the table by the same rule in both, so the tables alone
+        are compared.
+        """
+        basis = self.basis
+        constants = self.fill(OmegaVector([1] * basis.N))[0]
+        checked = LieAlgebra(basis.dim, constants)
+        if (
+            list(checked.constants.items()) != list(constants.items())
+            or not len(self.chars) == len(self.names) == basis.dim
+        ):
+            raise AssertionError(
+                f"the {basis.family} N={basis.N} bracket skeleton is not a table LieAlgebra keeps"
+            )
+
+
+@functools.lru_cache(maxsize=64)
+def _ck_skeleton(basis: CKBasis) -> _CKSkeleton:
+    """The skeleton the library shares for a basis, checked once, when it is made."""
+    skeleton = _CKSkeleton(basis)
+    skeleton.check()
+    return skeleton
+
+
+def _ck_structure(basis: CKBasis, omega: OmegaVector) -> dict:
+    """Structure-constant table for su_omega / u_omega in canonical indexing (zeros dropped)."""
+    return _ck_skeleton(basis).fill(omega)[0]
 
 
 def _build_ck(N: int, omega, family: str) -> LieAlgebra:
     omega = OmegaVector(omega)
     if omega.n != N:
         raise ValueError(f"omega has {omega.n} entries, expected N={N}")
-    basis = _basis(N, family)
-    algebra = LieAlgebra(
-        basis.dim,
-        _ck_structure(basis, omega),
-        family=family,
-        omega=omega,
-        names=basis.names(),
-    )
-    # sigma_S, S a subset of {0..N}, scales a generator of mask chi by
-    # (-1)^|S & chi|: e_a + e_b on J_ab and M_ab, 0 on B_l and I
-    for (a, b), k in basis._j.items():
-        algebra._chars[k] = algebra._chars[basis.pair_count + k] = (1 << a) | (1 << b)
+    skeleton = _ck_skeleton(_basis(N, family))
+    constants, into = skeleton.fill(omega)
+    algebra = object.__new__(LieAlgebra)
+    chars = list(skeleton.chars)
+    _set_facts(algebra, skeleton.basis.dim, constants, family, omega, skeleton.names, into, chars)
     return algebra
 
 

@@ -35,7 +35,11 @@ and mu = 0 there, which is what the whole solve gives, key order included.
 
 For the same reason `h2` eliminates block 0 alone.  Its pairs come from the
 generators grouped by character, and its coboundary image is the delta(e_k)
-with chi_k = 0 in the block's own columns; that rank enters dim H2.  Then
+with chi_k = 0 in the block's own columns; that rank enters dim H2.  Each
+of those delta(e_k) is a cocycle (the Jacobi identity along e_k, checked for
+an algebra without characters, by design for a builder's table), so the
+block's system has rank at most len(block) - rank_0, and its elimination
+stops there.  Then
 
     dim B2 = rank(mu -> delta(mu)) = dim [g, g],
 
@@ -188,10 +192,12 @@ def h2(algebra: LieAlgebra, representatives: bool = True) -> CohomologyResult:
             image.absorb(_integer_row({col_of[p, q]: c for p, q, c in into[k]}))
     rank_0 = image.rank
     dim_b2 = rank_0 + _rank_off_block_0(algebra)
+    # each of those delta(e_k) is a cocycle, so nullity >= rank_0
+    ceiling = len(block) - rank_0
     if not representatives:
-        dim_h2 = len(block) - rank(system) - rank_0
+        dim_h2 = len(block) - rank(system, ceiling) - rank_0
         return CohomologyResult(dim_b2 + dim_h2, dim_b2, dim_h2, [])
-    kernel = nullspace(system)
+    kernel = nullspace(system, ceiling)
     dim_h2 = len(kernel) - rank_0
     reps = []
     for vec in kernel:

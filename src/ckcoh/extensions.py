@@ -77,7 +77,10 @@ def _key_text(key, sep: str) -> str:
 
 @dataclass(frozen=True)
 class BasicCoefficients:
-    """Basic extension coefficients; absent entries are zero."""
+    """Basic extension coefficients; absent entries are zero.
+
+    Only the fields given are cleaned: an empty dict needs nothing.
+    """
 
     eta: dict = field(default_factory=dict)
     tau: dict = field(default_factory=dict)
@@ -87,7 +90,9 @@ class BasicCoefficients:
 
     def __post_init__(self):
         for name, _ in _FIELDS:
-            object.__setattr__(self, name, _clean(getattr(self, name)))
+            table = getattr(self, name)
+            if table or type(table) is not dict:
+                object.__setattr__(self, name, _clean(table))
 
     def validate(self, family: str, omega: OmegaVector):
         """Index ranges plus the Type III constraints; raises on violation."""
@@ -304,7 +309,9 @@ def _read_basic(algebra: LieAlgebra, xi: TwoCochain) -> BasicCoefficients:
         if reading := readings.get(pair):
             name, key, scale = reading
             fields[name][key] = v * scale
-    return BasicCoefficients(**{name: dict(sorted(table.items())) for name, table in fields.items()})
+    return BasicCoefficients(
+        **{name: dict(sorted(table.items())) for name, table in fields.items() if table}
+    )
 
 
 def appendix_violations(algebra: LieAlgebra, xi: TwoCochain) -> list[str]:

@@ -16,13 +16,20 @@ pivot rows holding it) drives back-substitution, which visits only the
 pivots whose solved value can be nonzero, in reverse creation order.  Both
 perform the same operations in the same order as a walk over every pivot.
 
-Elimination reduces each distinct row once.  A row equal (after clearing
-denominators and the content gcd) to one that became a pivot or reduced to
-zero lies in the span of the pivots, and a nonzero vector of that span holds
-the pivot column of the earliest pivot it uses, since no later pivot row
-holds that column.  So the copy would reduce to {}: skipping it leaves the
-pivots, their order and the kernel unchanged.  A copy of a row that left a
-right-hand-side leftover is not skipped, as every such row is kept.
+Elimination reduces each distinct row once.  A row equal, entry for entry
+as the matrix holds it, to one that became a pivot or reduced to zero lies
+in the span of the pivots, and a nonzero vector of that span holds the pivot
+column of the earliest pivot it uses, since no later pivot row holds that
+column.  So the copy would reduce to {}: skipping it, before its
+denominators are cleared, leaves the pivots, their order and the kernel
+unchanged.  A copy of a row that left a right-hand-side leftover is not
+skipped, as every such row is kept.
+
+For the same reason a caller that knows a bound on the rank may pass it as
+`max_rank`: once the echelon reaches it, every later row lies in the span
+of the pivots, so stopping there leaves the echelon of the full run, with
+the same pivots, pivot rows and key order.  `solve_many` never stops early,
+since its leftovers decide consistency.
 """
 
 from __future__ import annotations
@@ -232,8 +239,13 @@ class Echelon:
         return x
 
 
-def _build_echelon(matrix: SparseMatrix, rhs_list=()) -> Echelon:
-    """Eliminate all rows in natural order; right-hand side t rides along as column cols + t."""
+def _build_echelon(matrix: SparseMatrix, rhs_list=(), max_rank=None) -> Echelon:
+    """Eliminate the rows in natural order; right-hand side t rides along as column cols + t.
+
+    With `max_rank`, a bound the caller knows on the rank, elimination stops
+    once the echelon reaches it: every later row would reduce to {}.  Pass it
+    only without right-hand sides, whose leftovers decide consistency.
+    """
     cols = matrix.cols
     rows = matrix.data
     if rhs_list:
@@ -248,14 +260,18 @@ def _build_echelon(matrix: SparseMatrix, rhs_list=()) -> Echelon:
     leftovers = []
     seen = set()  # rows that reduced to a pivot or to {}; a copy would reduce to {}
     for row in rows:
-        row = _integer_row(row)
-        if not row:
-            continue
         key = frozenset(row.items())
         if key in seen:
             continue
+        row = _integer_row(row)
+        if not row:
+            continue
         reduced = ech.reduce(row)
-        if ech.insert(reduced) or not reduced:
+        if ech.insert(reduced):
+            seen.add(key)
+            if len(ech.pivots) == max_rank:
+                break
+        elif not reduced:
             seen.add(key)
         else:
             leftovers.append(reduced)
@@ -263,17 +279,17 @@ def _build_echelon(matrix: SparseMatrix, rhs_list=()) -> Echelon:
     return ech
 
 
-def rank(matrix: SparseMatrix) -> int:
-    return _build_echelon(matrix).rank
+def rank(matrix: SparseMatrix, max_rank=None) -> int:
+    return _build_echelon(matrix, max_rank=max_rank).rank
 
 
-def nullspace(matrix: SparseMatrix) -> list[dict]:
+def nullspace(matrix: SparseMatrix, max_rank=None) -> list[dict]:
     """Canonical kernel basis: one integer vector per free column, ascending.
 
     Vector for free column f has a positive entry at f and zeroes at every
-    other free column.
+    other free column.  `max_rank` is a bound on the rank (see `_build_echelon`).
     """
-    ech = _build_echelon(matrix)
+    ech = _build_echelon(matrix, max_rank=max_rank)
     basis = []
     for free in range(matrix.cols):
         if free in ech.pivot_cols:

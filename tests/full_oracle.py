@@ -23,7 +23,14 @@ that checked its pair order and dropped zeros itself.  `permuted` takes the
 algebra as `self`, as the method did.
 
 `full_build_echelon` is `sparse._build_echelon` before it reduced each
-distinct row once: it reduces every row, repeated ones too.
+distinct row once and before it stopped at a rank ceiling: it reduces every
+row, repeated ones too.
+
+`checked_build_ck` is `algebra._build_ck` before each (N, family) shared
+one bracket skeleton: it builds the whole table with `built_ck_structure`,
+omega products looked up per pair and zero constants kept, passes it
+through `LieAlgebra.__init__`, which checks and cleans every entry, and
+sets the sign characters pair by pair.
 
 `_read_basic` is the reading of the basic coefficients before it became
 entry-driven: it reads every slot of the cochain, N^2 of them.
@@ -35,7 +42,7 @@ from fractions import Fraction
 
 from ckcoh.algebra import LieAlgebra, _build_ck, jacobi_residual
 from ckcoh.extensions import BasicCoefficients, ContractionReport, dim_h2_formula
-from ckcoh.generators import CKBasis, check_family, delta_selector, generator_names
+from ckcoh.generators import CKBasis, _basis, check_family, delta_selector, generator_names
 from ckcoh.omega import OmegaVector
 from ckcoh.cochains import OneCochain, TwoCochain, pair_count
 from ckcoh.cohomology import CohomologyResult, NotACocycleError, cocycle_defect, cocycle_system
@@ -122,8 +129,11 @@ def full_are_coboundaries(algebra: LieAlgebra, cochains, assume_cocycle: bool = 
     return out
 
 
-def full_build_echelon(matrix: SparseMatrix, rhs_list=()) -> Echelon:
-    """Eliminate all rows in natural order; right-hand side t rides along as column cols + t."""
+def full_build_echelon(matrix: SparseMatrix, rhs_list=(), max_rank=None) -> Echelon:
+    """Eliminate all rows in natural order; right-hand side t rides along as column cols + t.
+
+    `max_rank` is taken and ignored, so this stand-in eliminates every row.
+    """
     cols = matrix.cols
     rows = matrix.data
     if rhs_list:
@@ -260,6 +270,63 @@ def _ck_structure(basis: CKBasis, omega: OmegaVector):
                 put(j(a, bb), b(l), [(m(a, bb), sel)])
                 put(m(a, bb), b(l), [(j(a, bb), -sel)])
     return table
+
+
+def built_ck_structure(basis: CKBasis, omega: OmegaVector):
+    """Structure-constant table for su_omega / u_omega in canonical indexing.
+
+    Indices and omega products are looked up per pair, from the basis's
+    table.  A constant is zero where its omega product vanishes; `LieAlgebra`
+    drops those and checks every pair and index.
+    """
+    N, P = basis.N, basis.pair_count
+    J, b = basis._j, basis.b
+    w = {pair: omega.product(*pair) for pair in J}
+    table = {}
+    for a in range(N - 1):
+        for bb in range(a + 1, N):
+            ab, w_ab = J[a, bb], w[a, bb]
+            for c in range(bb + 1, N + 1):
+                ac, bc, w_bc = J[a, c], J[bb, c], w[bb, c]
+                table[ab, ac] = [(bc, w_ab)]
+                table[ab, bc] = [(ac, -1)]
+                table[ac, bc] = [(ab, w_bc)]
+                table[P + ab, P + ac] = [(bc, w_ab)]
+                table[P + ab, P + bc] = [(ac, 1)]
+                table[P + ac, P + bc] = [(ab, w_bc)]
+                table[ab, P + ac] = [(P + bc, w_ab)]
+                table[ac, P + ab] = [(P + bc, w_ab)]
+                table[ab, P + bc] = [(P + ac, -1)]
+                table[bc, P + ab] = [(P + ac, 1)]
+                table[ac, P + bc] = [(P + ab, -w_bc)]
+                table[bc, P + ac] = [(P + ab, -w_bc)]
+    for (a, bb), ab in J.items():
+        w_ab = w[a, bb]
+        if w_ab != 0:
+            table[ab, P + ab] = [(b(s), -2 * w_ab) for s in range(a + 1, bb + 1)]
+        for l in range(1, N + 1):
+            sel = delta_selector(a, bb, l)
+            if sel:
+                table[ab, b(l)] = [(P + ab, sel)]
+                table[P + ab, b(l)] = [(ab, -sel)]
+    return table
+
+
+def checked_build_ck(N: int, omega, family: str) -> LieAlgebra:
+    omega = OmegaVector(omega)
+    if omega.n != N:
+        raise ValueError(f"omega has {omega.n} entries, expected N={N}")
+    basis = _basis(N, family)
+    algebra = LieAlgebra(
+        basis.dim,
+        built_ck_structure(basis, omega),
+        family=family,
+        omega=omega,
+        names=basis.names(),
+    )
+    for (a, b), k in basis._j.items():
+        algebra._chars[k] = algebra._chars[basis.pair_count + k] = (1 << a) | (1 << b)
+    return algebra
 
 
 def _read_basic(algebra: LieAlgebra, xi: TwoCochain) -> BasicCoefficients:

@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 from itertools import product
@@ -306,6 +307,24 @@ def test_h2_makes_at_most_half_the_reduce_calls(monkeypatch):
         assert 0 < len(calls) <= before // 2, (family, text, len(calls))
 
 
+def test_the_rank_ceiling_bounds_the_reduce_calls(monkeypatch):
+    # h2 su 10 (+...+) made 635 Echelon.reduce calls when it eliminated every
+    # row of block 0; its rank, 90, is reached at row 215 of 1200
+    calls = []
+    reduce = ckcoh.sparse.Echelon.reduce
+
+    def counted(self, row):
+        calls.append(1)
+        return reduce(self, row)
+
+    monkeypatch.setattr(ckcoh.sparse.Echelon, "reduce", counted)
+    g = build_su_omega(10, [1] * 10)
+    for representatives in (True, False):
+        calls.clear()
+        assert h2(g, representatives=representatives).dim_H2 == 0
+        assert 0 < len(calls) <= 200, len(calls)
+
+
 def test_ck_metadata_on_another_table_is_solved_as_one_block():
     # a CK header over an empty (abelian) table: the sign characters must not
     # be trusted, or only the 9 character-0 pairs would be counted
@@ -325,28 +344,46 @@ def test_ck_header_over_a_non_lie_table_is_checked():
         h2(g)
 
 
-def test_the_ck_table_is_built_once_per_verify_theorem(monkeypatch):
-    from ckcoh.extensions import verify_theorem
+def test_the_ck_table_is_built_once_per_verify_theorem(monkeypatch, capsys):
+    # the skeleton is made once per (N, family) across a whole sweep, and each
+    # verify_theorem fills it exactly once
+    import ckcoh.cli
 
-    calls = []
-    build_table = ckcoh.algebra._ck_structure
+    made, fills = [], []
+    make = ckcoh.algebra._ck_skeleton.__wrapped__
 
-    def counted(basis, omega):
-        calls.append((basis.family, basis.N))
-        return build_table(basis, omega)
+    def counted_make(basis):
+        made.append((basis.family, basis.N))
+        return make(basis)
 
-    monkeypatch.setattr(ckcoh.algebra, "_ck_structure", counted)
+    fill = ckcoh.algebra._CKSkeleton.fill
+
+    def counted_fill(skeleton, omega):
+        fills.append((skeleton.basis.family, skeleton.basis.N))
+        return fill(skeleton, omega)
+
+    monkeypatch.setattr(ckcoh.algebra, "_ck_skeleton", functools.lru_cache(maxsize=64)(counted_make))
+    monkeypatch.setattr(ckcoh.algebra._CKSkeleton, "fill", counted_fill)
+    monkeypatch.setenv("CKCOH_THREADS", "1")  # the sweep runs in this process
+    for family in ("su", "u"):
+        assert ckcoh.cli.main(["sweep", family, "1..4", "--format", "json"]) == 0
+    capsys.readouterr()
+    assert made == [(family, n) for family in ("su", "u") for n in range(1, 5)]
+    # one fill checks each new skeleton, then one per case
+    assert fills == [(family, n) for family, n in made for _ in range(1 + 3**n)]
+    made.clear()
+    fills.clear()
     assert verify_theorem("u", 3, OmegaVector.parse("0,+,0")).ok
-    assert calls == [("u", 3)]
+    assert made == [] and fills == [("u", 3)]
     g = build_su_omega(3, [1, 0, -1])
-    calls.clear()
+    fills.clear()
     h2(g)
-    assert calls == []
+    assert fills == []
     # a header over a table shorter than any CK one is read without a rebuild
     plain = LieAlgebra.from_text("1681 40 u " + "1 " * 40 + "\n0 1 2 1\n")
-    assert calls == [] and plain._chars == [0] * 1681
+    assert made == fills == [] and plain._chars == [0] * 1681
     assert LieAlgebra.from_text(g.to_text())._chars == g._chars
-    assert calls == [("su", 3)]
+    assert made == [] and fills == [("su", 3)]
 
 
 def test_h2_rejects_non_lie_input():

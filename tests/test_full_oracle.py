@@ -14,6 +14,11 @@ and leftovers, key order included, and the same `rank`, `nullspace` and
 `solve_many` results, on matrices with repeated, scaled and negated rows and
 on repeated inconsistent rows under right-hand sides.
 
+Stopped at the rank ceiling `h2` passes (the block's size less the rank of
+its coboundaries), the echelon must equal the one of the run over every
+row: the same pivots, pivot rows and key order, on every sign vector with
+N <= 4 in both families, random algebras and CK algebras in a mixed basis.
+
 `are_coboundaries`, which solves only the sign-character blocks its cochains
 touch, must answer as `full_oracle.full_are_coboundaries` does: the same
 `None`-ness and equal `mu`, key order included, or the same
@@ -26,6 +31,7 @@ from itertools import product
 
 import pytest
 
+import ckcoh.cohomology
 import ckcoh.sparse
 from ckcoh.algebra import build_su_omega, build_u_omega
 from ckcoh.cochains import OneCochain, TwoCochain, pair_list
@@ -223,3 +229,47 @@ def test_each_distinct_row_once_matches_the_no_skip_echelon(monkeypatch):
     matrix, rhs = _repeated_inconsistent()
     ech = _build_echelon(matrix, rhs)
     assert len(ech.leftovers) == 5 and solve_many(matrix, rhs) == [None, None, None]
+
+
+def test_the_rank_ceiling_leaves_the_echelon_of_the_full_run(monkeypatch):
+    seen = []
+    for name in ("nullspace", "rank"):
+
+        def spy(matrix, max_rank=None, solve=getattr(ckcoh.cohomology, name)):
+            seen.append((matrix, max_rank))
+            return solve(matrix, max_rank)
+
+        monkeypatch.setattr(ckcoh.cohomology, name, spy)
+    reduced = []
+    reduce = ckcoh.sparse.Echelon.reduce
+
+    def counted(self, row):
+        reduced.append(1)
+        return reduce(self, row)
+
+    texts = [",".join(s) for n in range(1, 5) for s in product("+-0", repeat=n)]
+    algebras = [
+        build(omega.n, omega)
+        for build in (build_su_omega, build_u_omega)
+        for omega in map(OmegaVector.parse, texts + list(RATIONAL))
+    ]
+    algebras += _algebras("random") + _algebras("graded")
+    stopped = 0
+    for g in algebras:
+        for representatives in (True, False):
+            seen.clear()
+            h2(g, representatives=representatives)
+            [(matrix, ceiling)] = seen
+            with monkeypatch.context() as patch:
+                patch.setattr(ckcoh.sparse.Echelon, "reduce", counted)
+                reduced.clear()
+                ours = _build_echelon(matrix, max_rank=ceiling)
+                ours_calls = len(reduced)
+                reduced.clear()
+                whole = _build_echelon(matrix)
+                stopped += ours_calls < len(reduced)
+            full = full_build_echelon(matrix)
+            assert _state(ours) == _state(whole) == _state(full), g
+            assert list(ours.pivot_cols.items()) == list(full.pivot_cols.items()), g
+            assert full.rank <= ceiling, g
+    assert stopped > 100
