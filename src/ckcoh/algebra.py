@@ -22,11 +22,12 @@ Every member of a family has that one bracket pattern: omega enters only
 through the products w_ab.  So the builders share one skeleton per
 (N, family), `_ck_skeleton`, which holds the pattern with each coefficient
 as a slot (a constant, or a constant times w_ab), the sign characters and
-the generator names.  It passes through `LieAlgebra.__init__` once, when it
-is made.  An algebra is its skeleton filled at omega: the P = N(N+1)/2
-weights by w_ac = w_a,c-1 omega_c, the 3P slots w_ab, -w_ab, -2 w_ab, then
-the table and its index by target written directly, in table order, with
-the brackets of zero slots left out, as `LieAlgebra` would keep them.
+the generator names.  It is checked once, when it is made, against the rules
+`LieAlgebra.__init__` applies to every table.  An algebra is its skeleton
+filled at omega: the P = N(N+1)/2 weights by w_ac = w_a,c-1 omega_c, the 3P
+slots w_ab, -w_ab, -2 w_ab, then the table and its index by target written
+directly, in table order, with the brackets of zero slots left out, as
+`LieAlgebra` would keep them.
 
 Every cyclic sum over generator triples (the Jacobi identity here, the
 cocycle condition and its system in `cohomology`) is one walk, `_cyclic_terms`:
@@ -347,43 +348,37 @@ class _CKSkeleton:
         constants, into = {}, {}
         for pair, targets, slot in zip(self.pairs, self.targets, self.slots):
             c = values[slot]
-            if not c:
-                continue
-            i, j = pair
-            if len(targets) == 1:  # all but the P brackets [J_ab, M_ab]
-                k = targets[0]
-                constants[pair] = ((k, c),)
-                if k in into:
-                    into[k].append((i, j, c))
-                else:
-                    into[k] = [(i, j, c)]
-                continue
-            constants[pair] = tuple([(k, c) for k in targets])
-            for k in targets:
-                if k in into:
-                    into[k].append((i, j, c))
-                else:
-                    into[k] = [(i, j, c)]
+            if c:
+                constants[pair] = tuple([(k, c) for k in targets])
+                i, j = pair
+                for k in targets:
+                    into.setdefault(k, []).append((i, j, c))
         return constants, into
 
     def check(self):
-        """Raise unless `LieAlgebra` keeps the table filled at omega = (1, ..., 1) as it is.
+        """Raise unless every `fill` gives a table `LieAlgebra` would keep as it is.
 
-        Its pairs, targets and order are then what `LieAlgebra` checks for
-        every table, and a zero slot drops only whole brackets, so every
-        `fill` gives what `LieAlgebra` would make of it.  The index by target
-        follows from the table by the same rule in both, so the tables alone
-        are compared.
+        That holds when each pair i < j is in range and comes once, each
+        targets tuple is non-empty, strictly increasing and in range, and
+        each slot is one of the 4 + 3P: a slot is then zero only where omega
+        makes it so, and `fill` leaves that bracket out, as `LieAlgebra`
+        drops a zero constant.  The columns are read as they are; no table
+        is filled for the check.
         """
-        basis = self.basis
-        constants = self.fill(OmegaVector([1] * basis.N))[0]
-        checked = LieAlgebra(basis.dim, constants)
-        if (
-            list(checked.constants.items()) != list(constants.items())
-            or not len(self.chars) == len(self.names) == basis.dim
+        dim, P = self.basis.dim, self.basis.pair_count
+        if not (
+            len(set(self.pairs)) == len(self.pairs) == len(self.targets) == len(self.slots)
+            and all(0 <= i < j < dim for i, j in self.pairs)
+            and all(
+                t and t == tuple(sorted(set(t))) and 0 <= t[0] and t[-1] < dim
+                for t in set(self.targets)
+            )
+            and all(0 <= s < len(_CONSTANTS) + 3 * P for s in set(self.slots))
+            and len(self.chars) == len(self.names) == dim
         ):
             raise AssertionError(
-                f"the {basis.family} N={basis.N} bracket skeleton is not a table LieAlgebra keeps"
+                f"the {self.basis.family} N={self.basis.N} bracket skeleton"
+                " is not a table LieAlgebra keeps"
             )
 
 

@@ -79,7 +79,7 @@ def _key_text(key, sep: str) -> str:
 class BasicCoefficients:
     """Basic extension coefficients; absent entries are zero.
 
-    Only the fields given are cleaned: an empty dict needs nothing.
+    Only the fields given are cleaned: an empty field becomes a new `{}`.
     """
 
     eta: dict = field(default_factory=dict)
@@ -91,8 +91,7 @@ class BasicCoefficients:
     def __post_init__(self):
         for name, _ in _FIELDS:
             table = getattr(self, name)
-            if table or type(table) is not dict:
-                object.__setattr__(self, name, _clean(table))
+            object.__setattr__(self, name, _clean(table) if table else {})
 
     def validate(self, family: str, omega: OmegaVector):
         """Index ranges plus the Type III constraints; raises on violation."""

@@ -10,7 +10,8 @@ in both families, and seeded rational omegas with N <= 7 and every count of
 zero entries from 0 to N.  `_ck_structure` must be the filled table.
 
 The skeleton is checked once, when it is made: a skeleton whose table
-`LieAlgebra` would not keep as it is must fail that check.
+`LieAlgebra` would not keep as it is must fail that check, and
+`LieAlgebra.__init__` must indeed change or refuse the table it fills.
 """
 
 import random
@@ -19,7 +20,7 @@ from itertools import product
 
 import pytest
 
-from ckcoh.algebra import _build_ck, _ck_skeleton, _ck_structure, _CKSkeleton
+from ckcoh.algebra import _CONSTANTS, LieAlgebra, _build_ck, _ck_skeleton, _ck_structure, _CKSkeleton
 from ckcoh.generators import CKBasis, _basis
 from ckcoh.omega import OmegaVector
 
@@ -85,9 +86,11 @@ def test_each_algebra_holds_its_own_characters():
 
 def _corrupted(skeleton, fault):
     """A copy of the skeleton with one bracket broken."""
-    pairs, targets = list(skeleton.pairs), list(skeleton.targets)
+    pairs, targets, slots = list(skeleton.pairs), list(skeleton.targets), list(skeleton.slots)
     multi = next(n for n, t in enumerate(targets) if len(t) > 1)
-    if fault == "reversed pair":
+    if fault == "repeated pair":
+        pairs[1] = pairs[0]
+    elif fault == "reversed pair":
         pairs[0] = pairs[0][::-1]
     elif fault == "pair out of range":
         pairs[0] = (0, skeleton.basis.dim)
@@ -97,22 +100,52 @@ def _corrupted(skeleton, fault):
         targets[multi] = targets[multi][::-1]
     elif fault == "repeated target":
         targets[multi] = targets[multi][:1] * 2
+    elif fault == "no target":
+        targets[0] = ()
+    elif fault == "slot out of range":
+        slots[0] = len(_CONSTANTS) + 3 * skeleton.basis.pair_count
     copy = _CKSkeleton(skeleton.basis)
     object.__setattr__(copy, "pairs", tuple(pairs))
     object.__setattr__(copy, "targets", tuple(targets))
+    object.__setattr__(copy, "slots", tuple(slots))
     return copy
+
+
+def _kept_by_lie_algebra(skeleton) -> bool:
+    """Whether `LieAlgebra.__init__` keeps the table filled at omega = (2, ..., 2) as it is."""
+    constants, into = skeleton.fill(OmegaVector([2] * skeleton.basis.N))
+    try:
+        checked = LieAlgebra(skeleton.basis.dim, constants)
+    except ValueError:
+        return False
+    return list(checked.constants.items()) == list(constants.items()) and list(
+        checked._into.items()
+    ) == list(into.items())
 
 
 @pytest.mark.parametrize(
     "fault",
-    ["reversed pair", "pair out of range", "target out of range", "unsorted targets", "repeated target"],
+    [
+        "repeated pair",
+        "reversed pair",
+        "pair out of range",
+        "target out of range",
+        "unsorted targets",
+        "repeated target",
+        "no target",
+        "slot out of range",
+    ],
 )
 def test_the_check_fails_on_a_corrupted_skeleton(fault):
     basis = CKBasis(3, "u")
     skeleton = _CKSkeleton(basis)
     skeleton.check()
-    with pytest.raises((AssertionError, ValueError)):
-        _corrupted(skeleton, fault).check()
+    assert _kept_by_lie_algebra(skeleton)
+    corrupted = _corrupted(skeleton, fault)
+    with pytest.raises(AssertionError):
+        corrupted.check()
+    if fault != "slot out of range":  # fill itself fails there
+        assert not _kept_by_lie_algebra(corrupted)
 
 
 def test_a_skeleton_is_immutable():

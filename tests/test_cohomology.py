@@ -349,32 +349,38 @@ def test_the_ck_table_is_built_once_per_verify_theorem(monkeypatch, capsys):
     # verify_theorem fills it exactly once
     import ckcoh.cli
 
-    made, fills = [], []
+    made, checks, fills = [], [], []
     make = ckcoh.algebra._ck_skeleton.__wrapped__
 
     def counted_make(basis):
         made.append((basis.family, basis.N))
         return make(basis)
 
-    fill = ckcoh.algebra._CKSkeleton.fill
+    fill, check = ckcoh.algebra._CKSkeleton.fill, ckcoh.algebra._CKSkeleton.check
 
     def counted_fill(skeleton, omega):
         fills.append((skeleton.basis.family, skeleton.basis.N))
         return fill(skeleton, omega)
 
+    def counted_check(skeleton):
+        checks.append((skeleton.basis.family, skeleton.basis.N))
+        return check(skeleton)
+
     monkeypatch.setattr(ckcoh.algebra, "_ck_skeleton", functools.lru_cache(maxsize=64)(counted_make))
     monkeypatch.setattr(ckcoh.algebra._CKSkeleton, "fill", counted_fill)
+    monkeypatch.setattr(ckcoh.algebra._CKSkeleton, "check", counted_check)
     monkeypatch.setenv("CKCOH_THREADS", "1")  # the sweep runs in this process
     for family in ("su", "u"):
         assert ckcoh.cli.main(["sweep", family, "1..4", "--format", "json"]) == 0
     capsys.readouterr()
-    assert made == [(family, n) for family in ("su", "u") for n in range(1, 5)]
-    # one fill checks each new skeleton, then one per case
-    assert fills == [(family, n) for family, n in made for _ in range(1 + 3**n)]
+    assert made == checks == [(family, n) for family in ("su", "u") for n in range(1, 5)]
+    # one fill per case, none for the checks
+    assert fills == [(family, n) for family, n in made for _ in range(3**n)]
     made.clear()
+    checks.clear()
     fills.clear()
     assert verify_theorem("u", 3, OmegaVector.parse("0,+,0")).ok
-    assert made == [] and fills == [("u", 3)]
+    assert made == checks == [] and fills == [("u", 3)]
     g = build_su_omega(3, [1, 0, -1])
     fills.clear()
     h2(g)

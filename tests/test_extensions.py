@@ -431,6 +431,16 @@ def test_basic_coefficients_json_round_trip():
     assert BasicCoefficients().to_json_obj() == {}
 
 
+def test_basic_coefficients_hold_no_dict_they_were_given():
+    given = {"eta": {}, "alpha": {1: Fraction(2, 1), 2: 0}, "beta": None}
+    coeffs = BasicCoefficients(**given)
+    assert coeffs.eta == {} and coeffs.eta is not given["eta"]
+    assert coeffs.alpha == {1: 2} and type(coeffs.alpha[1]) is int
+    assert coeffs.beta == {} and coeffs.tau == {} and coeffs.gamma == {}
+    given["eta"][(0, 1)] = 1
+    assert coeffs.eta == {}
+
+
 def test_extension_cocycle_matches_central_extension_column():
     om = OmegaVector([0, 1, 0])
     coeffs = BasicCoefficients(alpha={1: 1, 3: 2}, beta={(1, 3): 1})
