@@ -23,8 +23,9 @@ through the products w_ab.  So the builders share one skeleton per
 (N, family), `_ck_skeleton`, which holds the pattern with each coefficient
 as a slot (a constant, or a constant times w_ab), the sign characters and
 the generator names.  It is checked once, when it is made, against the rules
-`LieAlgebra.__init__` applies to every table.  An algebra is its skeleton
-filled at omega: the P = N(N+1)/2 weights by w_ac = w_a,c-1 omega_c, the 3P
+`LieAlgebra.__init__` applies to every table and the sign-character rules
+`h2` relies on.  An algebra is its skeleton filled at omega: the
+P = N(N+1)/2 weights by w_ac = w_a,c-1 omega_c, the 3P
 slots w_ab, -w_ab, -2 w_ab, then the table and its index by target written
 directly, in table order, with the brackets of zero slots left out, as
 `LieAlgebra` would keep them.
@@ -364,8 +365,14 @@ class _CKSkeleton:
         makes it so, and `fill` leaves that bracket out, as `LieAlgebra`
         drops a zero constant.  The columns are read as they are; no table
         is filled for the check.
+
+        It also checks the characters: every target k of [X_p, X_q] has
+        chi_k = chi_p ^ chi_q, and a bracket with several targets has
+        character 0.  `h2` relies on both: its block-0 solve on the first,
+        and its count of the brackets of nonzero character, each one target,
+        on the second.
         """
-        dim, P = self.basis.dim, self.basis.pair_count
+        dim, P, chars = self.basis.dim, self.basis.pair_count, self.chars
         if not (
             len(set(self.pairs)) == len(self.pairs) == len(self.targets) == len(self.slots)
             and all(0 <= i < j < dim for i, j in self.pairs)
@@ -374,11 +381,16 @@ class _CKSkeleton:
                 for t in set(self.targets)
             )
             and all(0 <= s < len(_CONSTANTS) + 3 * P for s in set(self.slots))
-            and len(self.chars) == len(self.names) == dim
+            and len(chars) == len(self.names) == dim
+            and all(  # the first target has the bracket's character, several have 0
+                chars[t[0]] == chars[p] ^ chars[q]
+                and (len(t) == 1 or not any(map(chars.__getitem__, t)))
+                for (p, q), t in zip(self.pairs, self.targets)
+            )
         ):
             raise AssertionError(
                 f"the {self.basis.family} N={self.basis.N} bracket skeleton"
-                " is not a table LieAlgebra keeps"
+                " is not a table LieAlgebra keeps, or breaks the sign characters"
             )
 
 

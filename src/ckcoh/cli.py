@@ -17,6 +17,10 @@ Exit codes: 0 success / match, 1 verification mismatch, 2 usage error
 `--format json` emits a machine-readable mirror with identical numeric
 content; `--out PATH` writes the payload to a file instead of stdout.
 CKCOH_THREADS caps the sweep worker pool (default: available cores).
+
+Each command is `cmd_x(args, omega) -> (payload, ok)`, the payload a JSON
+object under `--format json` and text otherwise; `main` parses omega,
+renders and writes the payload and maps `ok` to the exit code.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ from .extensions import (
     table_rows,
     verify_theorem,
 )
-from .generators import check_family
 from .omega import OmegaVector
 from .realization import (
     fundamental_matrices,
@@ -54,120 +57,96 @@ TABLE_MAX_N = 10  # `table` builds one row per sign vector, 3^N rows
 SWEEP_MAX_N = 6
 
 
-class UsageError(ValueError):
-    pass
-
-
-def _parse_omega(family: str, n: int, text: str) -> OmegaVector:
-    check_family(family)
+def _parse_omega(n: int, text: str) -> OmegaVector:
     omega = OmegaVector.parse(text)
     if omega.n != n:
-        raise UsageError(f"omega list has {omega.n} entries, expected N={n}")
+        raise ValueError(f"omega list has {omega.n} entries, expected N={n}")
     return omega
+
+
+def _check_bound(n: int, bound: int, force: bool, why: str = ""):
+    if n > bound and not force:
+        raise ValueError(f"N={n} exceeds the default bound {bound}{why}; pass --force to override")
 
 
 def _build(family: str, n: int, omega: OmegaVector):
     return build_su_omega(n, omega) if family == "su" else build_u_omega(n, omega)
 
 
-def _emit(content: str, out_path):
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(content)
-    else:
-        sys.stdout.write(content)
+def _header(args, omega) -> dict:
+    return {"family": args.family, "n": args.N, "omega": [format_rational(v) for v in omega]}
 
 
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+def _title(args, omega) -> str:
+    return f"family {args.family} N {args.N} omega ({omega.tokens()})"
 
 
-def cmd_algebra(args) -> int:
-    omega = _parse_omega(args.family, args.N, args.omega)
+def cmd_algebra(args, omega):
     algebra = _build(args.family, args.N, omega)
-    residual = jacobi_residual(algebra)
-    ok = residual == 0
+    ok = jacobi_residual(algebra) == 0
     if args.format == "json":
-        content = _json_text({"algebra": algebra.to_json_obj(), "jacobi_ok": ok})
-    else:
-        content = algebra.to_text() + f"# jacobi: {'ok' if ok else 'FAIL'}\n"
-    _emit(content, args.out)
-    return 0 if ok else MISMATCH
+        return {"algebra": algebra.to_json_obj(), "jacobi_ok": ok}, ok
+    return algebra.to_text() + f"# jacobi: {'ok' if ok else 'FAIL'}\n", ok
 
 
-def cmd_h2(args) -> int:
-    omega = _parse_omega(args.family, args.N, args.omega)
+def cmd_h2(args, omega):
     report = verify_theorem(args.family, args.N, omega, representatives=True)
-    reps = [extract_basic(report.algebra, rep) for rep in report.result.representatives]
-    verdict = "MATCH" if report.dims_match else "MISMATCH"
+    result = report.result
+    reps = [extract_basic(report.algebra, rep) for rep in result.representatives]
     if args.format == "json":
-        content = _json_text(
-            {
-                "family": args.family,
-                "n": args.N,
-                "omega": [format_rational(v) for v in omega],
-                "dim_z2": report.result.dim_Z2,
-                "dim_b2": report.result.dim_B2,
-                "dim_h2": report.result.dim_H2,
-                "formula": report.formula,
-                "match": report.dims_match,
-                "representatives": [r.to_json_obj() for r in reps],
-                "cocycle_checks": [
-                    {
-                        "label": c.label,
-                        "expect_trivial": c.expect_trivial,
-                        "trivial": c.trivial,
-                        "ok": c.ok,
-                    }
-                    for c in report.cocycle_checks
-                ],
-            }
-        )
+        return {
+            **_header(args, omega),
+            "dim_z2": result.dim_Z2,
+            "dim_b2": result.dim_B2,
+            "dim_h2": result.dim_H2,
+            "formula": report.formula,
+            "match": report.dims_match,
+            "representatives": [r.to_json_obj() for r in reps],
+            "cocycle_checks": [
+                {
+                    "label": c.label,
+                    "expect_trivial": c.expect_trivial,
+                    "trivial": c.trivial,
+                    "ok": c.ok,
+                }
+                for c in report.cocycle_checks
+            ],
+        }, report.ok
+    verdict = "MATCH" if report.dims_match else "MISMATCH"
+    lines = [
+        _title(args, omega),
+        f"dim Z2 = {result.dim_Z2}",
+        f"dim B2 = {result.dim_B2}",
+        f"dim H2 = {result.dim_H2} (formula {report.formula}) {verdict}",
+    ]
+    if reps:
+        lines.append("representatives:")
+        lines += [f"  {i}: {r.describe()}" for i, r in enumerate(reps, start=1)]
     else:
-        lines = [
-            f"family {args.family} N {args.N} omega ({omega.tokens()})",
-            f"dim Z2 = {report.result.dim_Z2}",
-            f"dim B2 = {report.result.dim_B2}",
-            f"dim H2 = {report.result.dim_H2} (formula {report.formula}) {verdict}",
-        ]
-        if reps:
-            lines.append("representatives:")
-            lines += [f"  {i}: {r.describe()}" for i, r in enumerate(reps, start=1)]
-        else:
-            lines.append("representatives: none")
-        checks = sum(1 for c in report.cocycle_checks if c.ok)
-        lines.append(f"cocycle triviality checks: {checks}/{len(report.cocycle_checks)} ok")
-        content = "\n".join(lines) + "\n"
-    _emit(content, args.out)
-    return 0 if report.ok else MISMATCH
+        lines.append("representatives: none")
+    checks = sum(1 for c in report.cocycle_checks if c.ok)
+    lines.append(f"cocycle triviality checks: {checks}/{len(report.cocycle_checks)} ok")
+    return "\n".join(lines) + "\n", report.ok
 
 
-def cmd_classify(args) -> int:
-    omega = _parse_omega(args.family, args.N, args.omega)
+def cmd_classify(args, omega):
     cls = classify(args.family, args.N, omega)
     if args.format == "json":
-        content = _json_text(
-            {
-                "family": args.family,
-                "n": args.N,
-                "omega": [format_rational(v) for v in omega],
-                "n_zero": cls.n_zero,
-                "type2_nontrivial": list(cls.type2_nontrivial),
-                "type3_beta_allowed": [list(p) for p in cls.type3_beta_allowed],
-                "type3_gamma_allowed": list(cls.type3_gamma_allowed),
-                "dim_h2_formula": cls.dim_h2_formula,
-                "dim_split": [cls.type2_count, cls.type3_count],
-            }
-        )
-    else:
-        labels = ",".join(cls.labels()) if cls.labels() else "-"
-        content = (
-            f"family {args.family} N {args.N} omega ({omega.tokens()})\n"
-            f"non-trivial extensions: {labels}\n"
-            f"dim H2 = {cls.dim_h2_formula} ({cls.type2_count}+{cls.type3_count})\n"
-        )
-    _emit(content, args.out)
-    return 0
+        return {
+            **_header(args, omega),
+            "n_zero": cls.n_zero,
+            "type2_nontrivial": list(cls.type2_nontrivial),
+            "type3_beta_allowed": [list(p) for p in cls.type3_beta_allowed],
+            "type3_gamma_allowed": list(cls.type3_gamma_allowed),
+            "dim_h2_formula": cls.dim_h2_formula,
+            "dim_split": [cls.type2_count, cls.type3_count],
+        }, True
+    labels = ",".join(cls.labels()) or "-"
+    return (
+        f"{_title(args, omega)}\n"
+        f"non-trivial extensions: {labels}\n"
+        f"dim H2 = {cls.dim_h2_formula} ({cls.type2_count}+{cls.type3_count})\n"
+    ), True
 
 
 def _matrix_json(mat):
@@ -177,102 +156,73 @@ def _matrix_json(mat):
     }
 
 
-def cmd_rep(args) -> int:
-    omega = _parse_omega(args.family, args.N, args.omega)
+def cmd_rep(args, omega):
     algebra = _build(args.family, args.N, omega)
     mats = fundamental_matrices(args.N, omega, args.family)
     metric = metric_matrix(args.N, omega)
-    defects = representation_defects(algebra, mats)
+    rep_ok = not representation_defects(algebra, mats)
     metric_ok = all(isometry_defect(m, metric).is_zero() for m in mats)
-    ok = not defects and metric_ok
     if args.format == "json":
-        content = _json_text(
-            {
-                "family": args.family,
-                "n": args.N,
-                "omega": [format_rational(v) for v in omega],
-                "metric": _matrix_json(metric),
-                "matrices": [
-                    {"name": algebra.name(i), **_matrix_json(m)}
-                    for i, m in enumerate(mats)
-                ],
-                "representation_ok": not defects,
-                "metric_condition_ok": metric_ok,
-            }
-        )
-    else:
-        lines = [f"family {args.family} N {args.N} omega ({omega.tokens()})"]
-        for i, mat in enumerate(mats):
-            lines.append(f"{algebra.name(i)}:")
-            lines += [f"  {row}" for row in mat.format_rows()]
-        lines.append(f"representation: {'ok' if not defects else 'FAIL'}")
-        lines.append(f"metric condition: {'ok' if metric_ok else 'FAIL'}")
-        content = "\n".join(lines) + "\n"
-    _emit(content, args.out)
-    return 0 if ok else MISMATCH
+        return {
+            **_header(args, omega),
+            "metric": _matrix_json(metric),
+            "matrices": [{"name": algebra.name(i), **_matrix_json(m)} for i, m in enumerate(mats)],
+            "representation_ok": rep_ok,
+            "metric_condition_ok": metric_ok,
+        }, rep_ok and metric_ok
+    lines = [_title(args, omega)]
+    for i, mat in enumerate(mats):
+        lines.append(f"{algebra.name(i)}:")
+        lines += [f"  {row}" for row in mat.format_rows()]
+    lines.append(f"representation: {'ok' if rep_ok else 'FAIL'}")
+    lines.append(f"metric condition: {'ok' if metric_ok else 'FAIL'}")
+    return "\n".join(lines) + "\n", rep_ok and metric_ok
 
 
-def cmd_contract(args) -> int:
-    omega = _parse_omega(args.family, args.N, args.omega)
+def cmd_contract(args, omega):
     report = contract(args.family, omega, args.k)
     if args.format == "json":
-        content = _json_text(
-            {
-                "family": args.family,
-                "n": args.N,
-                "k": args.k,
-                "omega_before": [format_rational(v) for v in report.omega_before],
-                "omega_after": [format_rational(v) for v in report.omega_after],
-                "already_zero": report.already_zero,
-                "alpha_now_nontrivial": report.alpha_now_nontrivial,
-                "new_beta": [list(p) for p in report.new_beta],
-                "new_gamma": report.new_gamma,
-                "dim_before": report.dim_before,
-                "dim_after": report.dim_after,
-            }
-        )
-    else:
-        content = "\n".join(report.lines()) + "\n"
-    _emit(content, args.out)
-    return 0
+        return {
+            "family": args.family,
+            "n": args.N,
+            "k": args.k,
+            "omega_before": [format_rational(v) for v in report.omega_before],
+            "omega_after": [format_rational(v) for v in report.omega_after],
+            "already_zero": report.already_zero,
+            "alpha_now_nontrivial": report.alpha_now_nontrivial,
+            "new_beta": [list(p) for p in report.new_beta],
+            "new_gamma": report.new_gamma,
+            "dim_before": report.dim_before,
+            "dim_after": report.dim_after,
+        }, True
+    return "\n".join(report.lines()) + "\n", True
 
 
-def cmd_table(args) -> int:
-    if args.N > TABLE_MAX_N and not args.force:
-        raise UsageError(
-            f"N={args.N} exceeds the default bound {TABLE_MAX_N} "
-            "(3^N rows); pass --force to override"
-        )
+def cmd_table(args, omega):
+    _check_bound(args.N, TABLE_MAX_N, args.force, " (3^N rows)")
     golden = None
     if args.golden:
         with open(args.golden, "r", encoding="utf-8") as handle:
             golden = handle.read()
     rows = table_rows(args.family, args.N)
-    if args.format == "json":
-        content = _json_text(
-            {
-                "family": args.family,
-                "n": args.N,
-                "rows": [
-                    {
-                        "signs": list(r.signs),
-                        "labels": list(r.labels),
-                        "dim_split": [r.type2_count, r.type3_count],
-                        "dim_h2": r.type2_count + r.type3_count,
-                    }
-                    for r in rows
-                ],
-            }
-        )
-    else:
-        content = format_table(rows)
-    _emit(content, args.out)
+    ok = golden is None or format_table(rows) == golden
     if golden is not None:
-        if format_table(rows) != golden:
-            sys.stderr.write(f"golden mismatch against {args.golden}\n")
-            return MISMATCH
-        sys.stderr.write("golden: MATCH\n")
-    return 0
+        sys.stderr.write("golden: MATCH\n" if ok else f"golden mismatch against {args.golden}\n")
+    if args.format == "json":
+        return {
+            "family": args.family,
+            "n": args.N,
+            "rows": [
+                {
+                    "signs": list(r.signs),
+                    "labels": list(r.labels),
+                    "dim_split": [r.type2_count, r.type3_count],
+                    "dim_h2": r.type2_count + r.type3_count,
+                }
+                for r in rows
+            ],
+        }, ok
+    return format_table(rows), ok
 
 
 def _sweep_case(case):
@@ -297,7 +247,7 @@ def _sweep_workers() -> int:
         try:
             return min(max(1, int(env)), cores)
         except ValueError as exc:
-            raise UsageError(f"bad CKCOH_THREADS value {env!r}") from exc
+            raise ValueError(f"bad CKCOH_THREADS value {env!r}") from exc
     return cores
 
 
@@ -314,7 +264,7 @@ def run_sweep(cases) -> list[dict]:
     return [_sweep_case(case) for case in cases]
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args, omega):
     text = args.range
     if ".." in text:
         lo_s, hi_s = text.split("..", 1)
@@ -323,13 +273,10 @@ def cmd_sweep(args) -> int:
     try:
         lo, hi = int(lo_s), int(hi_s)
     except ValueError as exc:
-        raise UsageError(f"bad N range {text!r}, expected e.g. 1..4") from exc
+        raise ValueError(f"bad N range {text!r}, expected e.g. 1..4") from exc
     if not 1 <= lo <= hi:
-        raise UsageError(f"bad N range {text!r}")
-    if hi > SWEEP_MAX_N and not args.force:
-        raise UsageError(
-            f"N={hi} exceeds the default bound {SWEEP_MAX_N}; pass --force to override"
-        )
+        raise ValueError(f"bad N range {text!r}")
+    _check_bound(hi, SWEEP_MAX_N, args.force)
     cases = [
         (args.family, n, signs)
         for n in range(lo, hi + 1)
@@ -337,20 +284,16 @@ def cmd_sweep(args) -> int:
     ]
     results = run_sweep(cases)
     passed = sum(1 for r in results if r["ok"])
+    ok = passed == len(results)
     if args.format == "json":
-        content = _json_text(
-            {"cases": results, "total": len(results), "passed": passed}
-        )
-    else:
-        lines = [
-            f"{'PASS' if r['ok'] else 'FAIL'} {r['family']} N={r['n']} "
-            f"({r['omega']}) dim H2 = {r['dim_h2']} formula {r['formula']}"
-            for r in results
-        ]
-        lines.append(f"sweep: {passed}/{len(results)} PASS")
-        content = "\n".join(lines) + "\n"
-    _emit(content, args.out)
-    return 0 if passed == len(results) else MISMATCH
+        return {"cases": results, "total": len(results), "passed": passed}, ok
+    lines = [
+        f"{'PASS' if r['ok'] else 'FAIL'} {r['family']} N={r['n']} "
+        f"({r['omega']}) dim H2 = {r['dim_h2']} formula {r['formula']}"
+        for r in results
+    ]
+    lines.append(f"sweep: {passed}/{len(results)} PASS")
+    return "\n".join(lines) + "\n", ok
 
 
 def _add_common(parser, omega=True):
@@ -413,16 +356,28 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "N", None) is not None and args.N < 1:
-        sys.stderr.write("error: N must be a positive integer\n")
-        return USAGE_ERROR
+    """Parse argv, run one command, render its payload and write it once.
+
+    Exit 0 when the command's checks hold, 1 when one fails, 2 on a usage
+    error (no payload is written then).
+    """
+    args = build_parser().parse_args(argv)
     try:
-        return COMMANDS[args.command](args)
+        if getattr(args, "N", 1) < 1:
+            raise ValueError("N must be a positive integer")
+        omega = _parse_omega(args.N, args.omega) if hasattr(args, "omega") else None
+        payload, ok = COMMANDS[args.command](args, omega)
+        if args.format == "json":
+            payload = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(payload)
+        else:
+            sys.stdout.write(payload)
     except (ValueError, IndexError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR
+    return 0 if ok else MISMATCH
 
 
 if __name__ == "__main__":

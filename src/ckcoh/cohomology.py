@@ -45,8 +45,10 @@ stops there.  Then
 
 the span of the bracket vectors [X_p, X_q].  Each lies on generators of the
 one character chi_p + chi_q, so every character chi != 0 adds the rank of its
-bracket vectors.  In a CK table each of those has a single target, so that
-rank is a count of targets and needs no elimination.
+bracket vectors.  Only the builders set characters, and their skeleton
+check requires each such vector to have a single target, of its own
+character.  So that rank is the number of generators of nonzero character
+that some bracket reaches, a count that needs no elimination.
 
 The condition is the Jacobi sum with xi in place of the bracket, so
 `cocycle_system`, `cocycle_defect` and `jacobi_residual` share one walk,
@@ -191,7 +193,8 @@ def h2(algebra: LieAlgebra, representatives: bool = True) -> CohomologyResult:
         if not chars[k]:  # delta(e_k) lies on the pairs of character chi_k
             image.absorb(_integer_row({col_of[p, q]: c for p, q, c in into[k]}))
     rank_0 = image.rank
-    dim_b2 = rank_0 + _rank_off_block_0(algebra)
+    # every bracket of nonzero character has one target (`_CKSkeleton.check`)
+    dim_b2 = rank_0 + sum(1 for k in into if chars[k])
     # each of those delta(e_k) is a cocycle, so nullity >= rank_0
     ceiling = len(block) - rank_0
     if not representatives:
@@ -206,29 +209,6 @@ def h2(algebra: LieAlgebra, representatives: bool = True) -> CohomologyResult:
     if len(reps) != dim_h2:
         raise AssertionError("representative extension lost independence")
     return CohomologyResult(dim_b2 + dim_h2, dim_b2, dim_h2, reps)
-
-
-def _rank_off_block_0(algebra: LieAlgebra) -> int:
-    """Rank of the bracket vectors [X_p, X_q] that lie on generators of nonzero character.
-
-    Each bracket vector lies on generators of the one character chi_p + chi_q,
-    so these add to the character-0 rank to give dim [g, g].  A vector with
-    one target spans exactly that coordinate (every such vector of a CK
-    table), so they count as their set of targets; a vector with several
-    targets adds the rank it keeps off that set.
-    """
-    chars = algebra._chars
-    targets, wide = set(), set()
-    for vec in algebra.constants.values():
-        if chars[vec[0][0]]:
-            if len(vec) == 1:
-                targets.add(vec[0][0])
-            else:
-                wide.add(vec)
-    rest = Echelon(algebra.dim)
-    for vec in wide:
-        rest.absorb(_integer_row({k: c for k, c in vec if k not in targets}))
-    return len(targets) + rest.rank
 
 
 def is_coboundary(

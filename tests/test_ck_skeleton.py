@@ -11,7 +11,10 @@ zero entries from 0 to N.  `_ck_structure` must be the filled table.
 
 The skeleton is checked once, when it is made: a skeleton whose table
 `LieAlgebra` would not keep as it is must fail that check, and
-`LieAlgebra.__init__` must indeed change or refuse the table it fills.
+`LieAlgebra.__init__` must indeed change or refuse the table it fills.  So
+must a skeleton that breaks the sign characters, a target whose character
+is not the bracket's or several targets of nonzero character, though
+`LieAlgebra` keeps its table.
 """
 
 import random
@@ -104,6 +107,10 @@ def _corrupted(skeleton, fault):
         targets[0] = ()
     elif fault == "slot out of range":
         slots[0] = len(_CONSTANTS) + 3 * skeleton.basis.pair_count
+    elif fault == "target of another character":
+        targets[0] = (skeleton.basis.b(1),)
+    elif fault == "several targets of nonzero character":
+        targets[0] = (targets[0][0], skeleton.basis.pair_count + targets[0][0])
     copy = _CKSkeleton(skeleton.basis)
     object.__setattr__(copy, "pairs", tuple(pairs))
     object.__setattr__(copy, "targets", tuple(targets))
@@ -134,6 +141,8 @@ def _kept_by_lie_algebra(skeleton) -> bool:
         "repeated target",
         "no target",
         "slot out of range",
+        "target of another character",
+        "several targets of nonzero character",
     ],
 )
 def test_the_check_fails_on_a_corrupted_skeleton(fault):
@@ -145,7 +154,8 @@ def test_the_check_fails_on_a_corrupted_skeleton(fault):
     with pytest.raises(AssertionError):
         corrupted.check()
     if fault != "slot out of range":  # fill itself fails there
-        assert not _kept_by_lie_algebra(corrupted)
+        # a table whose characters are broken is still one LieAlgebra keeps
+        assert _kept_by_lie_algebra(corrupted) == fault.endswith("character")
 
 
 def test_a_skeleton_is_immutable():

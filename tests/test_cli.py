@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -8,10 +10,11 @@ import pytest
 import ckcoh.cli
 import ckcoh.extensions
 from ckcoh.algebra import LieAlgebra
-from ckcoh.cli import _sweep_workers, main
+from ckcoh.cli import COMMANDS, _sweep_workers, build_parser, main
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
 
 
 def run_cli(capsys, *argv):
@@ -221,9 +224,20 @@ def test_negative_n_rejected(capsys):
         (("rep", "su", "2", "+,0"), "rep_su_2_p0.txt"),
         (("rep", "u", "3", "0,1/2,-"), "rep_u_3_0hm.txt"),
         (("rep", "u", "3", "0,1/2,-", "--format", "json"), "rep_u_3_0hm.json"),
+        (("algebra", "u", "2", "0,-1/2"), "algebra_u_2_0h.txt"),
+        (("algebra", "u", "2", "0,-1/2", "--format", "json"), "algebra_u_2_0h.json"),
+        (("classify", "su", "3", "0,+,0"), "classify_su_3_0p0.txt"),
+        (("classify", "u", "3", "0,1/2,-", "--format", "json"), "classify_u_3_0hm.json"),
+        (("contract", "su", "3", "+,0,-", "1"), "contract_su_3_p0m_1.txt"),
+        (("contract", "u", "3", "+,0,-", "3", "--format", "json"), "contract_u_3_p0m_3.json"),
+        (("sweep", "su", "1..2"), "sweep_su_1to2.txt"),
+        (("sweep", "u", "1..2", "--format", "json"), "sweep_u_1to2.json"),
+        (("table", "u", "2", "--format", "json"), "table_u_2.json"),
     ],
 )
-def test_h2_small_n_golden_bytes(capsys, argv, golden):
+def test_h2_small_n_golden_bytes(capsys, monkeypatch, argv, golden):
+    # byte goldens of every command at small N, in both formats
+    monkeypatch.setenv("CKCOH_THREADS", "1")
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     with open(os.path.join(DATA, golden), "rb") as handle:
@@ -295,3 +309,67 @@ def test_h2_builds_the_algebra_once(capsys, monkeypatch):
 def test_sweep_workers_capped_at_core_count(monkeypatch):
     monkeypatch.setenv("CKCOH_THREADS", "10000")
     assert 1 <= _sweep_workers() <= (os.cpu_count() or 1)
+
+
+@pytest.mark.parametrize(
+    "argv, env, err",
+    [
+        (["sweep", "su", "x..y"], {}, "bad N range 'x..y', expected e.g. 1..4"),
+        (["sweep", "su", "3..1"], {}, "bad N range '3..1'"),
+        (["sweep", "su", "1..7"], {}, "N=7 exceeds the default bound 6; pass --force to override"),
+        (["h2", "su", "0", "+"], {}, "N must be a positive integer"),
+        (["table", "su", "0"], {}, "N must be a positive integer"),
+        (
+            ["table", "su", "11"],
+            {},
+            "N=11 exceeds the default bound 10 (3^N rows); pass --force to override",
+        ),
+        (["h2", "su", "3", "0,,+"], {}, "empty omega entry at position 2 in '0,,+'"),
+        (["h2", "su", "1", "1e5"], {}, "bad rational token '1e5': exponent notation is not accepted"),
+        (["h2", "su", "2", "+,+,+"], {}, "omega list has 3 entries, expected N=2"),
+        (["contract", "su", "2", "0,+", "0"], {}, "contraction index 0 out of range 1..2"),
+        (
+            ["table", "su", "3", "--golden", "{tmp}/missing.golden"],
+            {},
+            "[Errno 2] No such file or directory: '{tmp}/missing.golden'",
+        ),
+        (
+            ["h2", "su", "2", "+,+", "--out", "{tmp}/missing/x"],
+            {},
+            "[Errno 2] No such file or directory: '{tmp}/missing/x'",
+        ),
+        (["sweep", "su", "1"], {"CKCOH_THREADS": "x"}, "bad CKCOH_THREADS value 'x'"),
+    ],
+    ids=[
+        "bad-range",
+        "empty-range",
+        "sweep-bound",
+        "h2-n-zero",
+        "table-n-zero",
+        "table-bound",
+        "empty-omega-entry",
+        "exponent-omega",
+        "omega-length",
+        "contract-index",
+        "golden-missing",
+        "out-unwritable",
+        "bad-threads",
+    ],
+)
+def test_usage_error_message_and_exit_code(capsys, monkeypatch, tmp_path, argv, env, err):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    code, out, stderr = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert stderr == f"error: {err.format(tmp=tmp_path)}\n"
+
+
+def test_the_command_lists_agree():
+    # COMMANDS, the parser, the module docstring's usage block and the README CLI table
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    usage = re.findall(r"^ {4}ckcoh (\w+)", ckcoh.cli.__doc__, re.M)
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as handle:
+        readme = re.findall(r"^\| `(\w+)` +\|", handle.read(), re.M)
+    assert len(COMMANDS) == 7
+    assert list(sub.choices) == usage == readme == list(COMMANDS)
