@@ -32,7 +32,8 @@ directly, in table order, with the brackets of zero slots left out, as
 
 Every cyclic sum over generator triples (the Jacobi identity here, the
 cocycle condition and its system in `cohomology`) is one walk, `_cyclic_terms`:
-from the nonzero values on pairs through the brackets indexed by target.
+from the nonzero values on pairs through the brackets indexed by target, and
+its largest sum is one accumulator, `_cyclic_max`.
 """
 
 from __future__ import annotations
@@ -242,23 +243,25 @@ def _cyclic_terms(into: dict, a: int, b: int):
                 yield (p, q, w), sign * c
 
 
+def _cyclic_max(into: dict, values) -> Scalar:
+    """Largest |cyclic sum| the (a, b, f(a, b)) values enter, normalised by `ratio`."""
+    sums = {}
+    for a, b, v in values:
+        for triple, coef in _cyclic_terms(into, a, b):
+            sums[triple] = sums.get(triple, 0) + coef * v
+    return ratio(max(map(abs, sums.values()), default=0))
+
+
 def jacobi_residual(algebra: LieAlgebra) -> Scalar:
     """Largest |cyclic Jacobi sum| over all generator triples (0 iff Lie).
 
     The cyclic sum of f = the bracket itself, one sum per (triple, component).
     The components are summed one at a time: the brackets with a component
-    along m, read from the index `_into[m]`, fill one dict keyed by triple,
-    which is dropped once its maximum is taken.
+    along m, read from the index `_into[m]`, go through `_cyclic_max`, whose
+    sums are dropped once their maximum is taken.
     """
     into = algebra._into
-    top = 0
-    for entries in into.values():
-        sums = {}
-        for a, b, d in entries:
-            for triple, coef in _cyclic_terms(into, a, b):
-                sums[triple] = sums.get(triple, 0) + coef * d
-        top = max(top, max(map(abs, sums.values()), default=0))
-    return ratio(top)
+    return max((_cyclic_max(into, entries) for entries in into.values()), default=0)
 
 
 # The constant slots of a skeleton come first; slot 4 + 3n + (0, 1, 2) is

@@ -20,7 +20,8 @@ CKCOH_THREADS caps the sweep worker pool (default: available cores).
 
 Each command is `cmd_x(args, omega) -> (payload, ok)`, the payload a JSON
 object under `--format json` and text otherwise; `main` parses omega,
-renders and writes the payload and maps `ok` to the exit code.
+renders the payload, byte-compares it with `--golden`, writes it and maps
+`ok` to the exit code.
 """
 
 from __future__ import annotations
@@ -200,14 +201,7 @@ def cmd_contract(args, omega):
 
 def cmd_table(args, omega):
     _check_bound(args.N, TABLE_MAX_N, args.force, " (3^N rows)")
-    golden = None
-    if args.golden:
-        with open(args.golden, "r", encoding="utf-8") as handle:
-            golden = handle.read()
     rows = table_rows(args.family, args.N)
-    ok = golden is None or format_table(rows) == golden
-    if golden is not None:
-        sys.stderr.write("golden: MATCH\n" if ok else f"golden mismatch against {args.golden}\n")
     if args.format == "json":
         return {
             "family": args.family,
@@ -221,8 +215,8 @@ def cmd_table(args, omega):
                 }
                 for r in rows
             ],
-        }, ok
-    return format_table(rows), ok
+        }, True
+    return format_table(rows), True
 
 
 def _sweep_case(case):
@@ -369,6 +363,12 @@ def main(argv=None) -> int:
         payload, ok = COMMANDS[args.command](args, omega)
         if args.format == "json":
             payload = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        if getattr(args, "golden", None):  # `table`: byte-compare the payload as rendered
+            with open(args.golden, "r", encoding="utf-8") as handle:
+                match = handle.read() == payload
+            verdict = "golden: MATCH" if match else f"golden mismatch against {args.golden}"
+            sys.stderr.write(verdict + "\n")
+            ok = ok and match
         if args.out:
             with open(args.out, "w", encoding="utf-8") as handle:
                 handle.write(payload)

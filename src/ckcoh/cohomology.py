@@ -52,7 +52,8 @@ that some bracket reaches, a count that needs no elimination.
 
 The condition is the Jacobi sum with xi in place of the bracket, so
 `cocycle_system`, `cocycle_defect` and `jacobi_residual` share one walk,
-`algebra._cyclic_terms`, and the image rows delta(e_k) are its bracket index.
+`algebra._cyclic_terms`, the last two its one accumulator `_cyclic_max`, and
+the image rows delta(e_k) are its bracket index.
 """
 
 from __future__ import annotations
@@ -60,9 +61,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .algebra import LieAlgebra, _cyclic_terms, jacobi_residual
+from .algebra import LieAlgebra, _cyclic_max, _cyclic_terms, jacobi_residual
 from .cochains import OneCochain, TwoCochain, pair_list
-from .rationals import ratio
 from .sparse import Echelon, SparseMatrix, _integer_row, nullspace, rank, solve_many
 
 
@@ -125,18 +125,13 @@ def delta(algebra: LieAlgebra, mu: OneCochain) -> TwoCochain:
 def cocycle_defect(algebra: LieAlgebra, xi: TwoCochain):
     """Largest |violation| of the cocycle condition; 0 iff xi is a cocycle.
 
-    Entry-driven: each nonzero xi(a, b) adds to the triples `_cyclic_terms`
-    yields for (a, b), so the cost follows the entries of xi, not the number
-    of triples.  The result is normalised by `ratio` (an int when integral),
-    as in `jacobi_residual`.
+    Entry-driven: `_cyclic_max` over the nonzero entries of xi, the
+    accumulator `jacobi_residual` uses, so the cost follows the entries of
+    xi, not the number of triples.
     """
     if xi.dim != algebra.dim:
         raise ValueError("cochain dimension does not match the algebra")
-    sums = {}
-    for (a, b), v in xi.entries.items():
-        for triple, coef in _cyclic_terms(algebra._into, a, b):
-            sums[triple] = sums.get(triple, 0) + coef * v
-    return ratio(max(map(abs, sums.values()), default=0))
+    return _cyclic_max(algebra._into, ((a, b, v) for (a, b), v in xi.entries.items()))
 
 
 def central_extension(algebra: LieAlgebra, xi: TwoCochain) -> LieAlgebra:

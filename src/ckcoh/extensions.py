@@ -15,15 +15,16 @@ Counting over a vector with n vanishing constants gives the closed formulas
 Type I is trivial because it is a coboundary: eta/tau set the cocycle
 delta(mu) with mu(J_ab) = eta_ab, mu(M_ab) = tau_ab.
 
-The module also reads the basic coefficients off an arbitrary cocycle and
-checks the reading by rebuilding: the cocycle those coefficients set
-(`extension_cocycle`) must equal the input entry for entry, which is every
-derived relation of the paper at once (four-index values vanish, B-column
-values collapse, the alpha recursion, the omega-scaled patterns).  The
-reading is entry-driven: a map from pair to (coefficient, key, scale), made
-once per basis, which the library shares per (N, family), sends each entry
-of the cocycle to the coefficient it sets, so a reading costs what the
-cocycle holds, not N^2 lookups.
+One writer, `_write_cocycle`, sets every extension cocycle, Type I over a
+given bracket table.  The module also reads the basic coefficients off an
+arbitrary cocycle and checks the reading by rebuilding: the cocycle that
+writer sets from them, over the algebra's own table, must equal the input
+entry for entry, which is every derived relation of the paper at once
+(four-index values vanish, B-column values collapse, the alpha recursion,
+the omega-scaled patterns).  The reading is entry-driven: a map from pair to
+(coefficient, key, scale), made once per basis, which the library shares per
+(N, family), sends each entry of the cocycle to the coefficient it sets, so
+a reading costs what the cocycle holds, not N^2 lookups.
 """
 
 from __future__ import annotations
@@ -208,30 +209,37 @@ def classify(family: str, N: int, omega) -> ExtensionClassification:
 
 
 def extension_cocycle(family: str, N: int, omega, coeffs: BasicCoefficients) -> TwoCochain:
-    """The two-cocycle determined by a set of basic coefficients.
-
-    Type I = delta(mu): the eta/tau part is the coboundary of mu(J_ab) =
-    eta_ab, mu(M_ab) = tau_ab, evaluated over the bracket table (skipped when
-    eta = tau = 0).  Alpha enters through [J_ac, M_ac] with the
-    omega(a,s-1) omega(s,c) weights, beta/gamma sit on the B-B and B-I pairs.
-    """
+    """The two-cocycle a set of basic coefficients determines (`_write_cocycle`)."""
     omega = OmegaVector(omega)
     if omega.n != N:
         raise ValueError(f"omega has {omega.n} entries, expected N={N}")
     coeffs.validate(family, omega)
     basis = _basis(N, family)
+    table = _ck_structure(basis, omega) if coeffs.eta or coeffs.tau else None
+    return TwoCochain(basis.dim, _write_cocycle(basis, omega, coeffs, table))
+
+
+def _write_cocycle(basis: CKBasis, omega: OmegaVector, coeffs: BasicCoefficients, table) -> dict:
+    """Pair -> value of the cocycle set by validated coefficients (zeros kept).
+
+    Type I = delta(mu): the eta/tau part is the coboundary of mu(J_ab) =
+    eta_ab, mu(M_ab) = tau_ab over `table`, the bracket table of su/u_omega
+    on `basis` (read only when eta or tau is nonzero).  Alpha enters through
+    [J_ac, M_ac] with the omega(a,s-1) omega(s,c) weights, beta/gamma sit on
+    the B-B and B-I pairs.
+    """
     J, P, b = basis._j, basis.pair_count, basis.b
+    mu = {J[pair]: v for pair, v in coeffs.eta.items()}
+    mu.update({P + J[pair]: v for pair, v in coeffs.tau.items()})
+    entries = _coboundary(table, mu) if mu else {}
     w = omega.product
-    entries = {}
-    if coeffs.eta or coeffs.tau:
-        entries = _type1(basis, coeffs, _ck_structure(basis, omega))
 
     def put(i, jj, value):
         if value:
             entries[(i, jj)] = entries.get((i, jj), 0) + value
 
     for s, al in coeffs.alpha.items():
-        right = [(bb, w(s, bb)) for bb in range(s, N + 1)]
+        right = [(bb, w(s, bb)) for bb in range(s, basis.N + 1)]
         for a in range(s):
             w_left = w(a, s - 1)
             for bb, w_right in right:
@@ -239,30 +247,16 @@ def extension_cocycle(family: str, N: int, omega, coeffs: BasicCoefficients) -> 
                 put(k, P + k, w_left * w_right * al)
     for (k, l), v in coeffs.beta.items():
         put(b(k), b(l), v)
-    if family == "u":
-        for k, v in coeffs.gamma.items():
-            put(b(k), basis.i(), v)
-    return TwoCochain(basis.dim, entries)
-
-
-def _type1(basis: CKBasis, coeffs: BasicCoefficients, constants: dict) -> dict:
-    """Pair -> delta(mu) with mu(J_ab) = eta_ab, mu(M_ab) = tau_ab (zeros kept).
-
-    `constants` is the bracket table of su/u_omega on `basis`: the one
-    `_ck_structure` builds, or the `constants` of an algebra that holds it.
-    """
-    J, P = basis._j, basis.pair_count
-    mu = {J[pair]: v for pair, v in coeffs.eta.items()}
-    mu.update({P + J[pair]: v for pair, v in coeffs.tau.items()})
-    return _coboundary(constants, mu)
+    for k, v in coeffs.gamma.items():  # validated: empty outside the u family
+        put(b(k), basis.i(), v)
+    return entries
 
 
 def build_extended(family: str, N: int, omega, coeffs: BasicCoefficients) -> LieAlgebra:
     """The centrally extended algebra on r+1 generators (constraints checked)."""
-    omega = OmegaVector(omega)
-    coeffs.validate(family, omega)
+    xi = extension_cocycle(family, N, omega, coeffs)
     base = build_su_omega(N, omega) if family == "su" else build_u_omega(N, omega)
-    return central_extension(base, extension_cocycle(family, N, omega, coeffs))
+    return central_extension(base, xi)
 
 
 @functools.lru_cache(maxsize=64)
@@ -316,7 +310,7 @@ def _read_basic(algebra: LieAlgebra, xi: TwoCochain) -> BasicCoefficients:
 def appendix_violations(algebra: LieAlgebra, xi: TwoCochain) -> list[str]:
     """Where xi differs from the cocycle its own basic coefficients set.
 
-    `extension_cocycle` sets every pair class (J-J, M-M, J-M, J/M-B, B-B and,
+    `_write_cocycle` sets every pair class (J-J, M-M, J-M, J/M-B, B-B and,
     for u, B/J/M-I), so every derived relation holds exactly when xi equals
     the cocycle rebuilt from its readings.  One `xi(X,Y): got g, expected e`
     line per differing pair, in pair order, or one line when a beta/gamma is
@@ -329,19 +323,11 @@ def appendix_violations(algebra: LieAlgebra, xi: TwoCochain) -> list[str]:
     coeffs = _read_basic(algebra, xi)
     omega = algebra.omega
     try:
-        rebuilt = extension_cocycle(
-            algebra.family,
-            omega.n,
-            omega,
-            BasicCoefficients(alpha=coeffs.alpha, beta=coeffs.beta, gamma=coeffs.gamma),
-        )
+        coeffs.validate(algebra.family, omega)
     except ConstraintViolation as exc:
         return [str(exc)]
-    if coeffs.eta or coeffs.tau:
-        entries = _type1(algebra.ck_basis(), coeffs, algebra.constants)
-        for pair, v in rebuilt.entries.items():
-            entries[pair] = entries.get(pair, 0) + v
-        rebuilt = TwoCochain(algebra.dim, entries)
+    entries = _write_cocycle(algebra.ck_basis(), omega, coeffs, algebra.constants)
+    rebuilt = TwoCochain(algebra.dim, entries)
     name = algebra.name
     return [
         f"xi({name(i)},{name(k)}): got {format_rational(xi.get(i, k))}, "

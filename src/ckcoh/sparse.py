@@ -15,6 +15,8 @@ applies only the pivots a row reaches, in creation order; `uses` (column ->
 pivot rows holding it) drives back-substitution, which visits only the
 pivots whose solved value can be nonzero, in reverse creation order.  Both
 perform the same operations in the same order as a walk over every pivot.
+Back-substitution has one mode, completing an assignment: `solve_many`
+assigns -1 to the column of right-hand side t, so row . x = rhs is solved.
 
 Elimination reduces each distinct row once.  A row equal, entry for entry
 as the matrix holds it, to one that became a pivot or reduced to zero lies
@@ -155,9 +157,7 @@ class Echelon:
                 continue
             pv = prow[col]
             g = gcd(pv, v)
-            a, b = pv // g, v // g
-            if a < 0:
-                a, b = -a, -b
+            a, b = pv // g, v // g  # a > 0: `insert` stores every pivot entry positive
             if a != 1:
                 for c in row:
                     row[c] *= a
@@ -202,21 +202,19 @@ class Echelon:
     def absorb(self, row: dict) -> bool:
         return self.insert(self.reduce(row))
 
-    def back_substitute(self, assignment: dict, aug: int | None = None) -> dict:
+    def back_substitute(self, assignment: dict) -> dict:
         """Complete an assignment of the free columns over the echelon.
 
-        Solves row . x = row[aug] (or 0) for each pivot column, in reverse
-        creation order; `assignment` maps free columns to exact values and is
-        not modified.  Only pivots that hold `aug` or a column already given
-        a nonzero value are visited: for every other pivot the solved value
-        would be 0, which is left unset.
+        Solves row . x = 0 for each pivot column, in reverse creation order;
+        `assignment` maps free columns (right-hand-side columns among them)
+        to exact values and is not modified.  Only pivots that hold a column
+        already given a nonzero value are visited: for every other pivot the
+        solved value would be 0, which is left unset.
         """
         x = dict(assignment)
         pivots = self.pivots
         uses = self.uses
         heap = [-k for c, v in x.items() if v for k in uses.get(c, ())]
-        if aug is not None:
-            heap += [-k for k in uses.get(aug, ())]
         heapify(heap)
         last = -1
         while heap:
@@ -225,9 +223,9 @@ class Echelon:
                 continue
             last = k
             col, prow = pivots[k]
-            s = Fraction(prow.get(aug, 0)) if aug is not None else Fraction(0)
+            s = Fraction(0)
             for c, v in prow.items():
-                if c == col or c == aug:
+                if c == col:
                     continue
                 xc = x.get(c)
                 if xc:
@@ -313,7 +311,8 @@ def solve_many(matrix: SparseMatrix, rhs_list) -> list:
         if any(row.get(aug) for row in ech.leftovers):
             solutions.append(None)
             continue
-        x = ech.back_substitute({}, aug=aug)
+        # row . x = rhs is row . (x, -1) = 0 over the right-hand side's column
+        x = ech.back_substitute({aug: -1})
         solutions.append({c: ratio(v) for c, v in x.items() if v and c < cols})
     return solutions
 

@@ -46,12 +46,12 @@ class ScanEchelon(Echelon):
             _strip_gcd(row)
         return row
 
-    def back_substitute(self, assignment: dict, aug: int | None = None) -> dict:
+    def back_substitute(self, assignment: dict) -> dict:
         x = dict(assignment)
         for col, prow in reversed(self.pivots):
-            s = Fraction(prow.get(aug, 0)) if aug is not None else Fraction(0)
+            s = Fraction(0)
             for c, v in prow.items():
-                if c == col or c == aug:
+                if c == col:
                     continue
                 xc = x.get(c)
                 if xc:

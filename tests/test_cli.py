@@ -148,6 +148,25 @@ def test_table_against_golden(capsys, tmp_path):
     assert "mismatch" in err
 
 
+def test_table_json_against_its_own_golden(capsys, tmp_path):
+    # under --format json the golden is compared with the JSON payload, as written
+    golden = os.path.join(DATA, "table_u_2.json")
+    code, out, err = run_cli(capsys, "table", "u", "2", "--format", "json", "--golden", golden)
+    assert (code, err) == (0, "golden: MATCH\n")
+    with open(golden, encoding="utf-8") as fh:
+        assert out == fh.read()
+    broken = tmp_path / "broken.json"
+    broken.write_text(out.replace('"dim_h2": 5', '"dim_h2": 4'), encoding="utf-8")
+    assert broken.read_text(encoding="utf-8") != out
+    code, out2, err = run_cli(capsys, "table", "u", "2", "--format", "json", "--golden", str(broken))
+    assert (code, out2, err) == (1, out, f"golden mismatch against {broken}\n")
+    # the text table is no golden for the JSON payload
+    text = tmp_path / "text.golden"
+    text.write_text(ckcoh.extensions.format_table(ckcoh.extensions.table_rows("u", 2)), encoding="utf-8")
+    code, _, _ = run_cli(capsys, "table", "u", "2", "--format", "json", "--golden", str(text))
+    assert code == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -303,13 +303,14 @@ def test_extraction_errors_name_the_algebra_and_the_pair(monkeypatch):
     gu = build_u_omega(2, om)
     bu = CKBasis(2, "u")
     xi = extension_cocycle("u", 2, om, BasicCoefficients(alpha={1: 1}, gamma={1: 2}))
-    rebuild = ckcoh.extensions.extension_cocycle
+    write = ckcoh.extensions._write_cocycle
 
-    def wrong_rebuild(*args):
-        out = rebuild(*args)
-        return out - TwoCochain(out.dim, {(bu.b(1), bu.b(2)): 1})
+    def wrong_write(*args):
+        out = write(*args)
+        out[bu.b(1), bu.b(2)] = out.get((bu.b(1), bu.b(2)), 0) - 1
+        return out
 
-    monkeypatch.setattr(ckcoh.extensions, "extension_cocycle", wrong_rebuild)
+    monkeypatch.setattr(ckcoh.extensions, "_write_cocycle", wrong_write)
     with pytest.raises(EngineInvariantError) as err:
         extract_basic(gu, xi)
     assert "u N=2 ω (0,1/2)" in str(err.value)

@@ -153,6 +153,8 @@ def test_echelon_indexes_hold_their_invariant():
         uses = {}
         for k, (col, prow) in enumerate(ech.pivots):
             assert ech.pivot_cols[col] == k
+            # `insert` stores every pivot entry positive, which `reduce` relies on
+            assert prow[col] > 0
             for c in prow:
                 if c == col:
                     continue
