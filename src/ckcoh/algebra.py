@@ -34,12 +34,25 @@ Every cyclic sum over generator triples (the Jacobi identity here, the
 cocycle condition and its system in `cohomology`) is one walk, `_cyclic_terms`:
 from the nonzero values on pairs through the brackets indexed by target, and
 its largest sum is one accumulator, `_cyclic_max`.
+
+Block 0 of the cocycle system, the part `cohomology.h2` eliminates, has one
+pattern per (N, family) as well.  `_ck_block_0` makes it from a skeleton on
+first use: the same walk over the skeleton's bracket index, with an integer
+code for each slot in place of its coefficient, gives every row in
+lexicographic triple order as columns and codes, and a row equal to an
+earlier one is kept once.  Leaving it out changes no echelon: the equal row
+fills to an equal row at every omega, and the elimination skips a copy of a
+row it has reduced, since that copy would reduce to zero.  An algebra the
+builders make holds its skeleton and slot values, so `h2` fills the block
+at its omega with one lookup per entry; a table read or made by hand holds
+neither, nor any sign characters, and is walked as it is.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+from itertools import combinations
 from math import comb
 
 from .generators import CKBasis, _basis, check_family, delta_selector
@@ -51,11 +64,24 @@ class LieAlgebra:
     """Immutable sparse structure-constant tensor over exact rationals.
 
     Set once when it is made: `_into`, the bracket index by target generator
-    (k -> [(p, q, C_pq^k)] in table order), and `_chars`, the sign characters,
-    all zero (one block) unless `_build_ck` wrote the table.
+    (k -> [(p, q, C_pq^k)] in table order).  When `_build_ck` filled the
+    table from a skeleton, `_skeleton` is that skeleton, `_slot_values` its
+    slot values at omega and `_chars` its sign characters; any other table
+    holds None in all three, so it is one block of character 0 and holds
+    nothing per generator that its input does not.
     """
 
-    __slots__ = ("dim", "constants", "family", "omega", "names", "_into", "_chars")
+    __slots__ = (
+        "dim",
+        "constants",
+        "family",
+        "omega",
+        "names",
+        "_into",
+        "_chars",
+        "_skeleton",
+        "_slot_values",
+    )
 
     def __init__(self, dim, constants, family=None, omega=None, names=None):
         if dim < 1:
@@ -84,7 +110,7 @@ class LieAlgebra:
                 for k, c in cleaned:
                     into.setdefault(k, []).append((i, j, c))
         names = tuple(names) if names else None
-        _set_facts(self, dim, table, family, omega, names, into, [0] * dim)
+        _set_facts(self, dim, table, family, omega, names, into, None, None, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("LieAlgebra is immutable")
@@ -243,6 +269,14 @@ def _cyclic_terms(into: dict, a: int, b: int):
                 yield (p, q, w), sign * c
 
 
+def _block_0_pairs(dim: int, chars) -> tuple:
+    """The pairs i < j with chi_i = chi_j, lexicographic: every pair when `chars` is None."""
+    groups = {}
+    for i in range(dim):
+        groups.setdefault(chars[i] if chars else 0, []).append(i)
+    return tuple(sorted(pair for group in groups.values() for pair in combinations(group, 2)))
+
+
 def _cyclic_max(into: dict, values) -> Scalar:
     """Largest |cyclic sum| the (a, b, f(a, b)) values enter, normalised by `ratio`."""
     sums = {}
@@ -337,10 +371,12 @@ class _CKSkeleton:
         raise AttributeError("_CKSkeleton is immutable")
 
     def fill(self, omega: OmegaVector):
-        """`constants` and `_into` of the algebra at omega, in table order.
+        """`constants`, `_into` and the slot values of the algebra at omega, in table order.
 
         The weights come from w_ac = w_a,c-1 omega_c, and a bracket whose
-        slot is zero is left out, as `LieAlgebra` drops a zero constant.
+        slot is zero is left out, as `LieAlgebra` drops a zero constant.  A
+        bracket with one target, all but the [J_ab, M_ab], is written
+        without a list of its targets.
         """
         values = list(_CONSTANTS)
         N, w = self.basis.N, omega.values
@@ -352,12 +388,23 @@ class _CKSkeleton:
         constants, into = {}, {}
         for pair, targets, slot in zip(self.pairs, self.targets, self.slots):
             c = values[slot]
-            if c:
+            if not c:
+                continue
+            i, j = pair
+            if len(targets) == 1:
+                k = targets[0]
+                constants[pair] = ((k, c),)
+                entry = (i, j, c)
+                brackets = into.get(k)
+                if brackets is None:
+                    into[k] = [entry]
+                else:
+                    brackets.append(entry)
+            else:
                 constants[pair] = tuple([(k, c) for k in targets])
-                i, j = pair
                 for k in targets:
                     into.setdefault(k, []).append((i, j, c))
-        return constants, into
+        return constants, into, values
 
     def check(self):
         """Raise unless every `fill` gives a table `LieAlgebra` would keep as it is.
@@ -405,6 +452,111 @@ def _ck_skeleton(basis: CKBasis) -> _CKSkeleton:
     return skeleton
 
 
+class _CKBlock0:
+    """Block 0 of the cocycle system of su_omega / u_omega at one (N, family), omega left open.
+
+    `pairs` are the pairs i < j of equal sign character, lexicographic: the
+    block's columns.  `rows` are its cocycle rows, in lexicographic triple
+    order, and `image` the delta(e_k) with chi_k = 0, k ascending, each as
+    two tuples of ints: the columns and the codes of their entries.  Every
+    entry is one bracket coefficient, +-C_pq^k, so it is +-x or +-2x for
+    one monomial x_0 = 1 or x_(n+1) = w_ab of the n-th pair a < b: code
+    +-(2m + 1) stands for +-x_m and +-(2m + 2) for +-2 x_m.  `fill` turns
+    the slot values of an algebra into the value of every code, so filling
+    a row is a lookup per entry, and an entry that is zero at that omega is
+    left out.
+
+    The rows come from the one cyclic walk, `_cyclic_terms`, over the
+    bracket index of the skeleton with the code of each slot in place of its
+    coefficient, the walk `cohomology.cocycle_system` makes over a filled
+    table.  A code negates by its sign, as a coefficient does.  No two terms
+    of the walk meet in one entry (the build raises if they do), so two rows
+    with the same columns and codes are equal polynomials in the w_ab and
+    fill to equal rows at every omega.  The elimination skips a row equal
+    to an earlier one (`sparse._build_echelon`), so each is kept once.  No
+    per-triple dict outlives the build, and the index entries of J_ab and
+    M_ab, which make the one pair of their character, are dropped once
+    their column is walked.
+    """
+
+    __slots__ = ("pairs", "rows", "image")
+
+    def __init__(self, skeleton: _CKSkeleton):
+        chars, dim, P = skeleton.chars, skeleton.basis.dim, skeleton.basis.pair_count
+        pairs = _block_0_pairs(dim, chars)
+        # the code of each slot: a constant c is c x_0, then w_ab, -w_ab, -2 w_ab for each pair
+        code_of = list(_CONSTANTS)
+        for n in range(P):
+            code_of += (2 * n + 3, -2 * n - 3, -2 * n - 4)
+        into = {}  # the bracket index by target, with the code of its slot for C_pq^k
+        for (p, q), targets, slot in zip(skeleton.pairs, skeleton.targets, skeleton.slots):
+            for k in targets:
+                into.setdefault(k, []).append((p, q, code_of[slot]))
+        col_of = {pair: n for n, pair in enumerate(pairs)}
+        image = tuple(
+            (tuple([col_of[p, q] for p, q, _ in into[k]]), tuple([c for _, _, c in into[k]]))
+            for k in sorted(into)
+            if not chars[k]
+        )
+        # one int object per code: `_cyclic_terms` makes a new one for each term
+        interned = list(range(2 * P + 3)) + list(range(-2 * P - 2, 0))
+        by_triple = {}  # triple -> {column: code}
+        for col, (a, b) in enumerate(pairs):
+            for triple, code in _cyclic_terms(into, a, b):
+                row = by_triple.get(triple)
+                if row is None:
+                    by_triple[triple] = {col: interned[code]}
+                elif col not in row:
+                    row[col] = interned[code]
+                else:
+                    raise AssertionError(
+                        f"two terms of the {skeleton.basis.family} N={skeleton.basis.N}"
+                        f" cocycle system meet in one entry, at {triple}"
+                    )
+            if chars[a]:  # J_ab and M_ab make the one pair of their character
+                into.pop(a, None)
+                into.pop(b, None)
+        rows, seen = [], set()
+        for triple in sorted(by_triple, key=lambda t: (t[0] * dim + t[1]) * dim + t[2]):
+            row = by_triple.pop(triple)
+            coded = (tuple(row), tuple(row.values()))
+            if coded not in seen:
+                seen.add(coded)
+                rows.append(coded)
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "rows", tuple(rows))
+        object.__setattr__(self, "image", image)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("_CKBlock0 is immutable")
+
+    @staticmethod
+    def fill(coded, values: list) -> list:
+        """The rows of `rows` or `image` at the slot values of `_CKSkeleton.fill`.
+
+        Entry c of `vector` is the value of code c > 0, and entry -c, read
+        from the end, that of code -c.  Zero entries and empty rows are
+        left out, as the walk over a filled table leaves them out.
+        """
+        positive = [1, 2]
+        at = len(_CONSTANTS)
+        for w, minus_2w in zip(values[at::3], values[at + 2 :: 3]):
+            positive += (w, -minus_2w)
+        vector = [0, *positive, *[-v for v in reversed(positive)]]
+        out = []
+        for cols, codes in coded:
+            row = {c: v for c, k in zip(cols, codes) if (v := vector[k])}
+            if row:
+                out.append(row)
+        return out
+
+
+@functools.lru_cache(maxsize=64)
+def _ck_block_0(skeleton: _CKSkeleton) -> _CKBlock0:
+    """Block 0 of the cocycle system the library shares for a skeleton, made on first use."""
+    return _CKBlock0(skeleton)
+
+
 def _ck_structure(basis: CKBasis, omega: OmegaVector) -> dict:
     """Structure-constant table for su_omega / u_omega in canonical indexing (zeros dropped)."""
     return _ck_skeleton(basis).fill(omega)[0]
@@ -415,10 +567,10 @@ def _build_ck(N: int, omega, family: str) -> LieAlgebra:
     if omega.n != N:
         raise ValueError(f"omega has {omega.n} entries, expected N={N}")
     skeleton = _ck_skeleton(_basis(N, family))
-    constants, into = skeleton.fill(omega)
+    constants, into, values = skeleton.fill(omega)
     algebra = object.__new__(LieAlgebra)
-    chars = list(skeleton.chars)
-    _set_facts(algebra, skeleton.basis.dim, constants, family, omega, skeleton.names, into, chars)
+    dim, names, chars = skeleton.basis.dim, skeleton.names, skeleton.chars
+    _set_facts(algebra, dim, constants, family, omega, names, into, chars, skeleton, values)
     return algebra
 
 

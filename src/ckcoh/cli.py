@@ -364,7 +364,7 @@ def main(argv=None) -> int:
         if args.format == "json":
             payload = json.dumps(payload, indent=2, sort_keys=True) + "\n"
         if getattr(args, "golden", None):  # `table`: byte-compare the payload as rendered
-            with open(args.golden, "r", encoding="utf-8") as handle:
+            with open(args.golden, "r", encoding="utf-8", newline="") as handle:
                 match = handle.read() == payload
             verdict = "golden: MATCH" if match else f"golden mismatch against {args.golden}"
             sys.stderr.write(verdict + "\n")

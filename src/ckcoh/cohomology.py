@@ -35,7 +35,14 @@ and mu = 0 there, which is what the whole solve gives, key order included.
 
 For the same reason `h2` eliminates block 0 alone.  Its pairs come from the
 generators grouped by character, and its coboundary image is the delta(e_k)
-with chi_k = 0 in the block's own columns; that rank enters dim H2.  Each
+with chi_k = 0 in the block's own columns; that rank enters dim H2.  For an
+algebra a builder made, pairs, rows and image come from its skeleton
+(`algebra._ck_block_0`): omega enters them only through the w_ab, so they are
+walked once per (N, family) and filled at each algebra's slot values, and
+`cocycle_system` fills them when handed the skeleton's pairs.  Those rows are
+the walk's rows less each row equal to an earlier one, which leaves the
+echelon as it is: `sparse._build_echelon` skips a copy of a row it has
+reduced, because the copy would reduce to zero.  Each
 of those delta(e_k) is a cocycle (the Jacobi identity along e_k, checked for
 an algebra without characters, by design for a builder's table), so the
 block's system has rank at most len(block) - rank_0, and its elimination
@@ -59,9 +66,15 @@ the image rows delta(e_k) are its bracket index.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
-from .algebra import LieAlgebra, _cyclic_max, _cyclic_terms, jacobi_residual
+from .algebra import (
+    LieAlgebra,
+    _block_0_pairs,
+    _ck_block_0,
+    _cyclic_max,
+    _cyclic_terms,
+    jacobi_residual,
+)
 from .cochains import OneCochain, TwoCochain, pair_list
 from .sparse import Echelon, SparseMatrix, _integer_row, nullspace, rank, solve_many
 
@@ -77,20 +90,30 @@ def cocycle_system(algebra: LieAlgebra, pairs=None) -> SparseMatrix:
     r(r-1)/2 pairs i < j, lexicographic), one row per generator triple
     i < j < l in lexicographic order (empty rows are skipped).  Assembled
     column by column: column (a, b) enters the rows `_cyclic_terms` yields.
+
+    For an algebra a builder filled from a skeleton, and the block-0 pairs
+    of that skeleton (`_CKBlock0.pairs`, which `h2` passes), the rows are
+    the skeleton's block-0 rows filled at the algebra's slot values: the
+    same rows, less each row equal to an earlier one.
     """
-    r = algebra.dim
-    if pairs is None:
-        pairs = pair_list(r)
-    by_triple = {}
-    for col, (a, b) in enumerate(pairs):
-        for triple, coef in _cyclic_terms(algebra._into, a, b):
-            row = by_triple.setdefault(triple, {})
-            v = row.pop(col, 0) + coef
-            if v:
-                row[col] = v
-    # lexicographic triple order through an integer key, cheaper than tuple comparisons
-    order = sorted(by_triple, key=lambda t: (t[0] * r + t[1]) * r + t[2])
-    rows = [by_triple[t] for t in order if by_triple[t]]
+    skeleton = algebra._skeleton
+    zero = None if skeleton is None else _ck_block_0(skeleton)
+    if zero is not None and pairs is zero.pairs:
+        rows = zero.fill(zero.rows, algebra._slot_values)
+    else:
+        r = algebra.dim
+        if pairs is None:
+            pairs = pair_list(r)
+        by_triple = {}
+        for col, (a, b) in enumerate(pairs):
+            for triple, coef in _cyclic_terms(algebra._into, a, b):
+                row = by_triple.setdefault(triple, {})
+                v = row.pop(col, 0) + coef
+                if v:
+                    row[col] = v
+        # lexicographic triple order through an integer key, cheaper than tuple comparisons
+        order = sorted(by_triple, key=lambda t: (t[0] * r + t[1]) * r + t[2])
+        rows = [by_triple[t] for t in order if by_triple[t]]
     matrix = SparseMatrix(len(rows), len(pairs))
     matrix.data[:] = rows
     return matrix
@@ -160,12 +183,35 @@ class CohomologyResult:
     representatives: list[TwoCochain] = field(default_factory=list)
 
 
+def _block_0(algebra: LieAlgebra):
+    """The character-0 pairs, lexicographic, and the delta(e_k) with chi_k = 0 in their columns.
+
+    From the skeleton's `_CKBlock0` when a builder filled the table, else
+    from the generators grouped by character (one group without characters)
+    and the bracket index, k ascending.
+    """
+    skeleton = algebra._skeleton
+    if skeleton is not None:
+        zero = _ck_block_0(skeleton)
+        return zero.pairs, zero.fill(zero.image, algebra._slot_values)
+    chars = algebra._chars
+    block = _block_0_pairs(algebra.dim, chars)
+    col_of = {pair: n for n, pair in enumerate(block)}
+    into = algebra._into
+    # delta(e_k) lies on the pairs of character chi_k
+    image = [
+        {col_of[p, q]: c for p, q, c in into[k]} for k in sorted(into) if not (chars and chars[k])
+    ]
+    return block, image
+
+
 def h2(algebra: LieAlgebra, representatives: bool = True) -> CohomologyResult:
     """Full second cohomology: dimensions and (optionally) representatives.
 
     Only the character-0 block is eliminated: its pairs come from the
     generators grouped by character, and its coboundaries are the delta(e_k)
-    with chi_k = 0, in the block's own columns.  dim H2 = nullity - rank of
+    with chi_k = 0, in the block's own columns (both from the skeleton for
+    an algebra a builder made, see `_block_0`).  dim H2 = nullity - rank of
     those coboundaries, dim B2 = dim [g, g] (that rank plus the rank of the
     brackets of nonzero character) and dim Z2 = dim B2 + dim H2.
     Representatives are the block's kernel basis vectors, taken in canonical
@@ -173,23 +219,17 @@ def h2(algebra: LieAlgebra, representatives: bool = True) -> CohomologyResult:
     representatives already chosen.
     """
     chars = algebra._chars
-    if not any(chars) and jacobi_residual(algebra) != 0:
+    if not any(chars or ()) and jacobi_residual(algebra) != 0:
         raise ValueError("not a Lie algebra: nonzero Jacobi residual")
     r = algebra.dim
-    groups = {}
-    for i, chi in enumerate(chars):
-        groups.setdefault(chi, []).append(i)
-    block = sorted(pair for group in groups.values() for pair in combinations(group, 2))
-    col_of = {pair: n for n, pair in enumerate(block)}
+    block, image_rows = _block_0(algebra)
     system = cocycle_system(algebra, block)
     image = Echelon(len(block))
-    into = algebra._into
-    for k in sorted(into):
-        if not chars[k]:  # delta(e_k) lies on the pairs of character chi_k
-            image.absorb(_integer_row({col_of[p, q]: c for p, q, c in into[k]}))
+    for row in image_rows:
+        image.absorb(_integer_row(row))
     rank_0 = image.rank
     # every bracket of nonzero character has one target (`_CKSkeleton.check`)
-    dim_b2 = rank_0 + sum(1 for k in into if chars[k])
+    dim_b2 = rank_0 + (sum(1 for k in algebra._into if chars[k]) if chars else 0)
     # each of those delta(e_k) is a cocycle, so nullity >= rank_0
     ceiling = len(block) - rank_0
     if not representatives:
@@ -236,8 +276,12 @@ def are_coboundaries(algebra: LieAlgebra, cochains, assume_cocycle: bool = False
                 raise NotACocycleError("a cochain is not a two-cocycle")
     chars = algebra._chars
     rows = {pair for xi in cochains for pair in xi.entries}
-    touched = {chars[i] ^ chars[j] for i, j in rows}
-    rows.update(p for p in algebra.constants if chars[p[0]] ^ chars[p[1]] in touched)
+    if chars is None:  # one block, of character 0
+        if rows:
+            rows.update(algebra.constants)
+    else:
+        touched = {chars[i] ^ chars[j] for i, j in rows}
+        rows.update(p for p in algebra.constants if chars[p[0]] ^ chars[p[1]] in touched)
     pairs = sorted(rows)
     row_of = {pair: n for n, pair in enumerate(pairs)}
     matrix = coboundary_matrix(algebra, pairs)

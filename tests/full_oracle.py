@@ -62,21 +62,21 @@ def _bracket_index(algebra: LieAlgebra) -> dict:
     return into
 
 
-def _characters(algebra: LieAlgebra) -> list[int]:
+def _characters(algebra: LieAlgebra):
     """Bit mask per generator: sigma_S, S a subset of {0..N}, scales it by (-1)^|S & mask|.
 
-    The mask is e_a + e_b on J_ab and M_ab and 0 on B_l and I.  An algebra
-    that is not exactly the CK algebra its metadata names gets all zeros (one
-    block); telling them apart rebuilds that algebra (1.5 ms at N = 6 on a
-    2-core x86-64 host).
+    The mask is e_a + e_b on J_ab and M_ab and 0 on B_l and I, as a tuple.
+    An algebra that is not exactly the CK algebra its metadata names gets
+    None (one block of character 0); telling them apart rebuilds that
+    algebra (1.5 ms at N = 6 on a 2-core x86-64 host).
     """
-    chars = [0] * algebra.dim
     if not algebra.is_ck() or _build_ck(algebra.omega.n, algebra.omega, algebra.family) != algebra:
-        return chars
+        return None
+    chars = [0] * algebra.dim
     basis = algebra.ck_basis()
     for a, b in basis.index_pairs():
         chars[basis.j(a, b)] = chars[basis.m(a, b)] = (1 << a) | (1 << b)
-    return chars
+    return tuple(chars)
 
 
 def full_h2(algebra, representatives: bool = True, check: bool = True) -> CohomologyResult:
@@ -324,8 +324,10 @@ def checked_build_ck(N: int, omega, family: str) -> LieAlgebra:
         omega=omega,
         names=basis.names(),
     )
+    chars = [0] * basis.dim
     for (a, b), k in basis._j.items():
-        algebra._chars[k] = algebra._chars[basis.pair_count + k] = (1 << a) | (1 << b)
+        chars[k] = chars[basis.pair_count + k] = (1 << a) | (1 << b)
+    object.__setattr__(algebra, "_chars", tuple(chars))
     return algebra
 
 

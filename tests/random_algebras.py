@@ -124,7 +124,7 @@ def graded_change_of_basis(g: LieAlgebra, rng: random.Random) -> LieAlgebra:
     n = g.dim
     t = [[Fraction(0)] * n for _ in range(n)]
     groups = {}
-    for i, chi in enumerate(g._chars):
+    for i, chi in enumerate(g._chars or [0] * n):
         groups.setdefault(chi, []).append(i)
     for group in groups.values():
         block = random_invertible(rng, len(group))
@@ -132,5 +132,5 @@ def graded_change_of_basis(g: LieAlgebra, rng: random.Random) -> LieAlgebra:
             for b, j in enumerate(group):
                 t[i][j] = block[a][b]
     h = change_of_basis(g, t)
-    h._chars[:] = g._chars
+    object.__setattr__(h, "_chars", g._chars)
     return h

@@ -23,7 +23,15 @@ from itertools import product
 
 import pytest
 
-from ckcoh.algebra import _CONSTANTS, LieAlgebra, _build_ck, _ck_skeleton, _ck_structure, _CKSkeleton
+from ckcoh.algebra import (
+    _CONSTANTS,
+    LieAlgebra,
+    _build_ck,
+    _CKBlock0,
+    _ck_skeleton,
+    _ck_structure,
+    _CKSkeleton,
+)
 from ckcoh.generators import CKBasis, _basis
 from ckcoh.omega import OmegaVector
 
@@ -74,17 +82,18 @@ def test_the_filled_skeleton_matches_the_checked_table(family):
         g = _build_ck(omega.n, omega, family)
         want = checked_build_ck(omega.n, omega, family)
         assert _facts(g) == _facts(want), values
-        assert g._chars is not want._chars
+        assert g._chars is _ck_skeleton(g.ck_basis()).chars
         table = _ck_structure(_basis(omega.n, family), omega)
         assert [(p, _typed(e)) for p, e in table.items()] == _facts(want)[4], values
         fractions += any(type(c) is Fraction for e in g.constants.values() for _, c in e)
     assert fractions > 50
 
 
-def test_each_algebra_holds_its_own_characters():
+def test_each_algebra_reads_its_characters_from_its_skeleton():
     g, h = _build_ck(3, [1, 0, -1], "su"), _build_ck(3, [1, 1, 1], "su")
-    assert g._chars == h._chars and g._chars is not h._chars
-    assert _ck_skeleton(g.ck_basis()) is _ck_skeleton(_basis(3, "su"))
+    skeleton = _ck_skeleton(_basis(3, "su"))
+    assert g._skeleton is h._skeleton is skeleton
+    assert g._chars is h._chars is skeleton.chars and type(skeleton.chars) is tuple
 
 
 def _corrupted(skeleton, fault):
@@ -120,7 +129,7 @@ def _corrupted(skeleton, fault):
 
 def _kept_by_lie_algebra(skeleton) -> bool:
     """Whether `LieAlgebra.__init__` keeps the table filled at omega = (2, ..., 2) as it is."""
-    constants, into = skeleton.fill(OmegaVector([2] * skeleton.basis.N))
+    constants, into, _ = skeleton.fill(OmegaVector([2] * skeleton.basis.N))
     try:
         checked = LieAlgebra(skeleton.basis.dim, constants)
     except ValueError:
@@ -156,6 +165,12 @@ def test_the_check_fails_on_a_corrupted_skeleton(fault):
     if fault != "slot out of range":  # fill itself fails there
         # a table whose characters are broken is still one LieAlgebra keeps
         assert _kept_by_lie_algebra(corrupted) == fault.endswith("character")
+
+
+def test_block_0_refuses_two_terms_in_one_entry():
+    # a repeated target of [J_02, M_02] meets itself in the column (B_1, B_2)
+    with pytest.raises(AssertionError, match="meet in one entry"):
+        _CKBlock0(_corrupted(_CKSkeleton(CKBasis(3, "u")), "repeated target"))
 
 
 def test_a_skeleton_is_immutable():

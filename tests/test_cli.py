@@ -146,6 +146,12 @@ def test_table_against_golden(capsys, tmp_path):
     code, _, err = run_cli(capsys, "table", "su", "3", "--golden", str(broken))
     assert code == 1
     assert "mismatch" in err
+    # so must a copy with CRLF line ends: the bytes differ, though the text reads the same
+    crlf = tmp_path / "crlf.golden"
+    with open(golden, "rb") as fh:
+        crlf.write_bytes(fh.read().replace(b"\n", b"\r\n"))
+    code, _, err = run_cli(capsys, "table", "su", "3", "--golden", str(crlf))
+    assert (code, err) == (1, f"golden mismatch against {crlf}\n")
 
 
 def test_table_json_against_its_own_golden(capsys, tmp_path):

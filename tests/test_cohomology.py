@@ -12,6 +12,7 @@ from ckcoh.algebra import LieAlgebra, build_su_omega, build_u_omega, jacobi_resi
 from ckcoh.cochains import OneCochain, TwoCochain, pair_count, pair_list
 from ckcoh.cohomology import (
     NotACocycleError,
+    _block_0,
     are_coboundaries,
     central_extension,
     coboundary_matrix,
@@ -23,7 +24,7 @@ from ckcoh.cohomology import (
 )
 from ckcoh.extensions import verify_theorem
 from ckcoh.generators import CKBasis
-from ckcoh.omega import OmegaVector
+from ckcoh.omega import OmegaVector, sign_vectors
 from ckcoh.sparse import SparseMatrix, nullspace, rank
 from ckcoh.structure import SignedPermutation, transport_constants
 
@@ -246,6 +247,40 @@ def test_nonzero_characters_carry_no_cohomology():
     assert blocks_checked == 2948
 
 
+RATIONAL = ("2/3,-1", "0,-1/2,0", "-2/3,1,5/2", "0,3/4,0,-2", "1/2,-3,2/5,7")
+
+
+def _omegas(max_n):
+    """Every sign vector with N <= max_n, then the rational omegas."""
+    signs = [omega for n in range(1, max_n + 1) for omega in sign_vectors(n)]
+    return signs + [OmegaVector.parse(text) for text in RATIONAL]
+
+
+def test_every_coboundary_the_ceiling_counts_is_a_cocycle():
+    # h2 stops eliminating block 0 at len(block) - rank_0, which bounds the
+    # rank only if each delta(e_k) it absorbs (chi_k = 0) is a cocycle
+    absorbed = 0
+    for omega in _omegas(5):
+        for build in (build_su_omega, build_u_omega):
+            g = build(omega.n, omega)
+            block, image = _block_0(g)
+            for row in image:
+                xi = TwoCochain(g.dim, {block[c]: v for c, v in row.items()})
+                assert cocycle_defect(g, xi) == 0, (omega, g.family, xi)
+                absorbed += 1
+    assert absorbed == 2212
+
+
+def test_kunneth_u_over_su_adds_h1_of_su():
+    # I is central and su_w an ideal, so u_w = su_w + R I and
+    # dim H2(u_w) - dim H2(su_w) = dim H1(su_w) = dim su_w - dim B2(su_w),
+    # with no use of the closed formula
+    for omega in _omegas(4):
+        su = build_su_omega(omega.n, omega)
+        s, u = h2(su, representatives=False), h2(build_u_omega(omega.n, omega), False)
+        assert u.dim_H2 - s.dim_H2 == su.dim - s.dim_B2, omega
+
+
 def _b2_algebras():
     """CK with N <= 3, rational omegas, random algebras, relabellings, graded bases."""
     rng = random.Random(17)
@@ -275,7 +310,7 @@ def test_dim_b2_is_the_rank_of_the_coboundary_matrix():
         b2 = rank(coboundary_matrix(g))
         assert h2(g).dim_B2 == h2(g, representatives=False).dim_B2 == b2, g
         assert b2 == row_echelon_rank(coboundary_rows_dense(g)), g
-        chars = g._chars
+        chars = g._chars or [0] * g.dim
         wide += any(chars[v[0][0]] and len(v) > 1 for v in g.constants.values())
     assert wide >= 10  # brackets of nonzero character with several targets
 
@@ -330,7 +365,7 @@ def test_ck_metadata_on_another_table_is_solved_as_one_block():
     # be trusted, or only the 9 character-0 pairs would be counted
     g = LieAlgebra.from_text("15 3 su 1 1 1\n")
     assert g.is_ck() and not g.constants
-    assert g._chars == [0] * 15
+    assert g._chars is None
     assert _dims(g) == (105, 0, 105)
     assert len(h2(g).representatives) == 105
 
@@ -339,7 +374,7 @@ def test_ck_header_over_a_non_lie_table_is_checked():
     # the header names su_w(2) with w = 1 over the non-Lie table below: it gets
     # no sign characters, so h2 runs the Jacobi check and refuses it
     g = LieAlgebra.from_text("3 1 su 1\n0 1 2 1\n0 2 0 1\n")
-    assert g.is_ck() and g._chars == [0] * 3
+    assert g.is_ck() and g._chars is None
     with pytest.raises(ValueError):
         h2(g)
 
@@ -387,7 +422,7 @@ def test_the_ck_table_is_built_once_per_verify_theorem(monkeypatch, capsys):
     assert fills == []
     # a header over a table shorter than any CK one is read without a rebuild
     plain = LieAlgebra.from_text("1681 40 u " + "1 " * 40 + "\n0 1 2 1\n")
-    assert made == fills == [] and plain._chars == [0] * 1681
+    assert made == fills == [] and plain._chars is None
     assert LieAlgebra.from_text(g.to_text())._chars == g._chars
     assert made == [] and fills == [("su", 3)]
 

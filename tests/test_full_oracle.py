@@ -115,8 +115,9 @@ def _one_entry(g):
     a zero right-hand side decide whether the system is consistent.
     """
     firsts = {}
+    chars = g._chars or [0] * g.dim
     for i, j in sorted(g.constants):
-        firsts.setdefault(g._chars[i] ^ g._chars[j], (i, j))
+        firsts.setdefault(chars[i] ^ chars[j], (i, j))
     return [TwoCochain(g.dim, {pair: 1}) for pair in list(firsts.values())[:3]]
 
 

@@ -4,11 +4,15 @@ Each reader gets a few hundred seeded mutations of a valid input (characters
 and lines for text, keys, elements and value types for JSON objects).  A
 mutant may still parse; what it may not do is raise anything but ValueError,
 which is what the CLI turns into a usage error.
+
+A read costs what it reads: a 9-byte header that declares ten million
+generators over no bracket holds nothing per generator.
 """
 
 import copy
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -114,3 +118,14 @@ def test_json_reader_raises_only_value_error(name, read, obj):
     assert _survives(read, json.loads(json.dumps(obj)))
     rng = random.Random(name)
     _fuzz(read, [_mutate_obj(obj, rng) for _ in range(MUTANTS)])
+
+
+def test_a_short_read_holds_nothing_per_declared_generator():
+    tracemalloc.start()
+    try:
+        g = LieAlgebra.from_text("10000000\n")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (g.dim, g.constants, g._chars) == (10_000_000, {}, None)
+    assert peak < 5 * 2**20, peak
