@@ -19,33 +19,34 @@ with brackets (a < b < c throughout, sel the four-delta selector):
 and every bracket with four distinct J/M indices vanishing.
 
 Every member of a family has that one bracket pattern: omega enters only
-through the products w_ab.  So the builders share one skeleton per
-(N, family), `_ck_skeleton`, which holds the pattern with each coefficient
-as a slot (a constant, or a constant times w_ab), the sign characters and
-the generator names.  It is checked once, when it is made, against the rules
-`LieAlgebra.__init__` applies to every table and the sign-character rules
-`h2` relies on.  An algebra is its skeleton filled at omega: the
-P = N(N+1)/2 weights by w_ac = w_a,c-1 omega_c, the 3P
-slots w_ab, -w_ab, -2 w_ab, then the table and its index by target written
-directly, in table order, with the brackets of zero slots left out, as
-`LieAlgebra` would keep them.
+through the products w_ab, and every coefficient is +-x or +-2x for x = 1
+or x = w_ab.  So the builders share one skeleton per (N, family),
+`_ck_skeleton`, which holds the pattern with each coefficient as a signed
+integer code (`_CKSkeleton`), the sign characters and the generator names.
+It is checked once, when it is made, against the rules `LieAlgebra.__init__`
+applies to every table and the rules `h2` relies on.  An algebra is its
+skeleton filled at omega: the P = N(N+1)/2 weights by w_ac = w_a,c-1 omega_c
+give the value of every code, then the table and its index by target are
+written directly, in table order, with the brackets of zero coefficient left
+out, as `LieAlgebra` would keep them.
 
 Every cyclic sum over generator triples (the Jacobi identity here, the
 cocycle condition and its system in `cohomology`) is one walk, `_cyclic_terms`:
-from the nonzero values on pairs through the brackets indexed by target, and
-its largest sum is one accumulator, `_cyclic_max`.
+from the nonzero values on pairs through the brackets indexed by target.
+Its largest sum is one accumulator, `_cyclic_max`, and its sums as rows,
+one per triple, are one assembly, `_cyclic_rows`.
 
 Block 0 of the cocycle system, the part `cohomology.h2` eliminates, has one
 pattern per (N, family) as well.  `_ck_block_0` makes it from a skeleton on
-first use: the same walk over the skeleton's bracket index, with an integer
-code for each slot in place of its coefficient, gives every row in
-lexicographic triple order as columns and codes, and a row equal to an
-earlier one is kept once.  Leaving it out changes no echelon: the equal row
-fills to an equal row at every omega, and the elimination skips a copy of a
-row it has reduced, since that copy would reduce to zero.  An algebra the
-builders make holds its skeleton and slot values, so `h2` fills the block
-at its omega with one lookup per entry; a table read or made by hand holds
-neither, nor any sign characters, and is walked as it is.
+first use: `_cyclic_rows` over the skeleton's bracket index, with the codes
+in place of the coefficients, gives every row as columns and codes, and a
+row equal to an earlier one is kept once.  Leaving it out changes no
+echelon: the equal row fills to an equal row at every omega, and the
+elimination skips a copy of a row it has reduced, since that copy would
+reduce to zero.  An algebra the builders make holds its skeleton and code
+values, so `h2` fills the block at its omega with one lookup per entry; a
+table read or made by hand holds neither, nor any sign characters, and is
+walked as it is.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ import json
 from itertools import combinations
 from math import comb
 
-from .generators import CKBasis, _basis, check_family, delta_selector
+from .generators import CKBasis, _basis, _generator_name, check_family, delta_selector
 from .omega import OmegaVector
 from .rationals import Scalar, _lines, _reader, format_rational, parse_rational, ratio
 
@@ -66,9 +67,10 @@ class LieAlgebra:
     Set once when it is made: `_into`, the bracket index by target generator
     (k -> [(p, q, C_pq^k)] in table order).  When `_build_ck` filled the
     table from a skeleton, `_skeleton` is that skeleton, `_slot_values` its
-    slot values at omega and `_chars` its sign characters; any other table
+    code values at omega and `_chars` its sign characters; any other table
     holds None in all three, so it is one block of character 0 and holds
-    nothing per generator that its input does not.
+    nothing per generator that its input does not: `name` works out the
+    names of a table read under a CK header.
     """
 
     __slots__ = (
@@ -139,8 +141,11 @@ class LieAlgebra:
         return tuple((k, -c) for k, c in self.constants.get((j, i), ()))
 
     def name(self, i: int) -> str:
-        if self.names and 0 <= i < len(self.names):
-            return self.names[i]
+        if self.names:
+            if 0 <= i < len(self.names):
+                return self.names[i]
+        elif self.is_ck() and 0 <= i < self.dim:
+            return _generator_name(self.omega.n, i)
         return f"X_{i}"
 
     def is_ck(self) -> bool:
@@ -233,15 +238,17 @@ def _from_table(cls, dim: int, table: dict, family, omega) -> LieAlgebra:
     The header's dim must fit the family and N.  Any other table under it gets
     zero characters, so `h2` checks Jacobi and solves it whole.  The CK table
     has the 4 unit brackets [J_ab,J_bc], [M_ab,M_bc], [J_ab,M_bc], [J_bc,M_ab]
-    for every a < b < c, so a shorter table is not rebuilt: the cost of a read
-    follows its input, not the N of its header.
+    for every a < b < c, so a shorter table is not rebuilt, and nothing per
+    declared generator is made for it: the dim is checked by its formula and
+    the names are worked out when asked for.  So the cost of a read follows
+    its input, not the N of its header.
     """
     if not family:
         return cls(dim, table)
-    basis = _basis(omega.n, family)
-    if dim != basis.dim:
-        raise ValueError(f"header says dim {dim} but {family} N={omega.n} has dim {basis.dim}")
-    read = cls(dim, table, family=family, omega=omega, names=basis.names())
+    want = (omega.n + 1) ** 2 - (family == "su")
+    if dim != want:
+        raise ValueError(f"header says dim {dim} but {family} N={omega.n} has dim {want}")
+    read = cls(dim, table, family=family, omega=omega)
     if len(read.constants) < 4 * comb(omega.n + 1, 3):
         return read
     built = _build_ck(omega.n, omega, family)
@@ -267,6 +274,40 @@ def _cyclic_terms(into: dict, a: int, b: int):
                 yield (p, w, q), -sign * c
             else:
                 yield (p, q, w), sign * c
+
+
+def _cyclic_rows(into: dict, pairs, dim: int):
+    """The cyclic sums of the values on `pairs` as rows, lexicographic by triple.
+
+    Entry n of a row sums the `_cyclic_terms` coefficients of pairs[n]; an
+    entry whose terms cancel and an empty row are left out.  `into` is an
+    index by target, as `LieAlgebra._into`, and is not changed.  To bound
+    memory the walk keeps one object per distinct int entry, drops from its
+    own copy of `into` what no later column reads, and lets go of each row
+    as it yields it.
+    """
+    last = {}  # generator -> the last column that reads its index entries
+    for col, pair in enumerate(pairs):
+        for k in pair:
+            last[k] = col
+    into = dict(into)
+    interned, by_triple = {}, {}
+    for col, (a, b) in enumerate(pairs):
+        for triple, coef in _cyclic_terms(into, a, b):
+            row = by_triple.get(triple)
+            if row is None:
+                by_triple[triple] = row = {}
+            v = row.pop(col, 0) + coef
+            if v:
+                row[col] = interned.setdefault(v, v) if type(v) is int else v
+        for k in (a, b):
+            if last[k] == col:
+                into.pop(k, None)
+    # an integer key sorts faster than the tuples
+    for triple in sorted(by_triple, key=lambda t: (t[0] * dim + t[1]) * dim + t[2]):
+        row = by_triple.pop(triple)
+        if row:
+            yield row
 
 
 def _block_0_pairs(dim: int, chars) -> tuple:
@@ -298,25 +339,20 @@ def jacobi_residual(algebra: LieAlgebra) -> Scalar:
     return max((_cyclic_max(into, entries) for entries in into.values()), default=0)
 
 
-# The constant slots of a skeleton come first; slot 4 + 3n + (0, 1, 2) is
-# w_ab, -w_ab, -2 w_ab of the n-th pair a < b in canonical order.
-_CONSTANTS = (1, -1, 2, -2)
-_CONSTANT_SLOT = {v: n for n, v in enumerate(_CONSTANTS)}
-
-
 class _CKSkeleton:
     """The bracket table of su_omega / u_omega at one (N, family), omega left open.
 
     `pairs`, `targets` and `slots` hold the brackets in table order, one
     column each: [X_p, X_q] is the sum over the targets k of the slot's value
-    times X_k.  A slot is a constant of `_CONSTANTS` or w_ab, -w_ab or
-    -2 w_ab for one pair a < b, so one table serves every omega.  Equal
-    targets tuples and slots are one object each, and every filled table
-    keys its brackets by the skeleton's pairs, so an algebra at N = 30 holds
-    no second copy of them.  `chars` are the sign characters:
-    sigma_S, S a subset of {0..N}, scales a generator of mask chi by
-    (-1)^|S & chi|, with chi = e_a + e_b on J_ab and M_ab, 0 on B_l and I.
-    Immutable: the library shares one skeleton per basis (`_ck_skeleton`).
+    times X_k.  A slot is a signed code: with x_0 = 1 and x_(n+1) = w_ab of
+    the n-th pair a < b, +-(2m + 1) stands for +-x_m and +-(2m + 2) for
+    +-2 x_m, so one table serves every omega.  Equal targets tuples and
+    slots are one object each, and every filled table keys its brackets by
+    the skeleton's pairs, so an algebra at N = 30 holds no second copy of
+    them.  `chars` are the sign characters: sigma_S, S a subset of {0..N},
+    scales a generator of mask chi by (-1)^|S & chi|, with chi = e_a + e_b
+    on J_ab and M_ab, 0 on B_l and I.  Immutable: the library shares one
+    skeleton per basis (`_ck_skeleton`).
     """
 
     __slots__ = ("basis", "pairs", "targets", "slots", "chars", "names")
@@ -324,8 +360,7 @@ class _CKSkeleton:
     def __init__(self, basis: CKBasis):
         N, P = basis.N, basis.pair_count
         J, b = basis._j, basis.b
-        w = {pair: len(_CONSTANTS) + 3 * n for n, pair in enumerate(J)}  # slot of w_ab
-        one, minus_one = _CONSTANT_SLOT[1], _CONSTANT_SLOT[-1]
+        w = {pair: 2 * n + 3 for n, pair in enumerate(J)}  # the code of w_ab
         pairs, columns, slots = [], [], []
         shared = {}  # one object per distinct targets tuple and per slot
 
@@ -340,25 +375,25 @@ class _CKSkeleton:
                 for c in range(bb + 1, N + 1):
                     ac, bc, w_bc = J[a, c], J[bb, c], w[bb, c]
                     put(ab, ac, (bc,), w_ab)
-                    put(ab, bc, (ac,), minus_one)
+                    put(ab, bc, (ac,), -1)
                     put(ac, bc, (ab,), w_bc)
                     put(P + ab, P + ac, (bc,), w_ab)
-                    put(P + ab, P + bc, (ac,), one)
+                    put(P + ab, P + bc, (ac,), 1)
                     put(P + ac, P + bc, (ab,), w_bc)
                     put(ab, P + ac, (P + bc,), w_ab)
                     put(ac, P + ab, (P + bc,), w_ab)
-                    put(ab, P + bc, (P + ac,), minus_one)
-                    put(bc, P + ab, (P + ac,), one)
-                    put(ac, P + bc, (P + ab,), w_bc + 1)
-                    put(bc, P + ac, (P + ab,), w_bc + 1)
+                    put(ab, P + bc, (P + ac,), -1)
+                    put(bc, P + ab, (P + ac,), 1)
+                    put(ac, P + bc, (P + ab,), -w_bc)
+                    put(bc, P + ac, (P + ab,), -w_bc)
         chars = [0] * basis.dim
         for (a, bb), ab in J.items():
-            put(ab, P + ab, tuple(b(s) for s in range(a + 1, bb + 1)), w[a, bb] + 2)
+            put(ab, P + ab, tuple(b(s) for s in range(a + 1, bb + 1)), -w[a, bb] - 1)
             for l in range(1, N + 1):
                 sel = delta_selector(a, bb, l)
                 if sel:
-                    put(ab, b(l), (P + ab,), _CONSTANT_SLOT[sel])
-                    put(P + ab, b(l), (ab,), _CONSTANT_SLOT[-sel])
+                    put(ab, b(l), (P + ab,), sel)
+                    put(P + ab, b(l), (ab,), -sel)
             chars[ab] = chars[P + ab] = (1 << a) | (1 << bb)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "pairs", tuple(pairs))
@@ -371,20 +406,27 @@ class _CKSkeleton:
         raise AttributeError("_CKSkeleton is immutable")
 
     def fill(self, omega: OmegaVector):
-        """`constants`, `_into` and the slot values of the algebra at omega, in table order.
+        """`constants`, `_into` and the code values of the algebra at omega, in table order.
 
-        The weights come from w_ac = w_a,c-1 omega_c, and a bracket whose
-        slot is zero is left out, as `LieAlgebra` drops a zero constant.  A
-        bracket with one target, all but the [J_ab, M_ab], is written
-        without a list of its targets.
+        Entry c of the code values is the value of code c, a negative code
+        read from the end.  The weights come from w_ac = w_a,c-1 omega_c, and
+        a bracket whose slot is zero is left out, as `LieAlgebra` drops a zero
+        constant.  A bracket with one target, all but the [J_ab, M_ab], is
+        written without a list of its targets.
         """
-        values = list(_CONSTANTS)
         N, w = self.basis.N, omega.values
+        values, negated = [0, 1, 2], [-1, -2]
         for a in range(N):
             prod = 1
             for c in range(a, N):
                 prod = ratio(prod * w[c])
-                values += (prod, -prod, ratio(-2 * prod))
+                twice = ratio(2 * prod)
+                values.append(prod)
+                values.append(twice)
+                negated.append(-prod)
+                negated.append(-twice)
+        negated.reverse()
+        values += negated
         constants, into = {}, {}
         for pair, targets, slot in zip(self.pairs, self.targets, self.slots):
             c = values[slot]
@@ -411,16 +453,21 @@ class _CKSkeleton:
 
         That holds when each pair i < j is in range and comes once, each
         targets tuple is non-empty, strictly increasing and in range, and
-        each slot is one of the 4 + 3P: a slot is then zero only where omega
-        makes it so, and `fill` leaves that bracket out, as `LieAlgebra`
-        drops a zero constant.  The columns are read as they are; no table
-        is filled for the check.
+        each slot is a code from +-1 to +-(2P + 2): a slot is then zero only
+        where omega makes it so, and `fill` leaves that bracket out, as
+        `LieAlgebra` drops a zero constant.  The columns are read as they
+        are; no table is filled for the check.
 
         It also checks the characters: every target k of [X_p, X_q] has
         chi_k = chi_p ^ chi_q, and a bracket with several targets has
         character 0.  `h2` relies on both: its block-0 solve on the first,
         and its count of the brackets of nonzero character, each one target,
         on the second.
+
+        Last, no [X_p, X_q] has a target p or q.  Two terms of the walk for
+        the value on (a, b) meet in one entry only at a repeated target, or
+        where [a, c] has a component along a and [b, c] one along b, so each
+        entry of a `_CKBlock0` row is one coefficient.
         """
         dim, P, chars = self.basis.dim, self.basis.pair_count, self.chars
         if not (
@@ -430,17 +477,20 @@ class _CKSkeleton:
                 t and t == tuple(sorted(set(t))) and 0 <= t[0] and t[-1] < dim
                 for t in set(self.targets)
             )
-            and all(0 <= s < len(_CONSTANTS) + 3 * P for s in set(self.slots))
+            and all(0 < abs(s) <= 2 * P + 2 for s in set(self.slots))
             and len(chars) == len(self.names) == dim
             and all(  # the first target has the bracket's character, several have 0
                 chars[t[0]] == chars[p] ^ chars[q]
                 and (len(t) == 1 or not any(map(chars.__getitem__, t)))
+                and p not in t
+                and q not in t
                 for (p, q), t in zip(self.pairs, self.targets)
             )
         ):
             raise AssertionError(
                 f"the {self.basis.family} N={self.basis.N} bracket skeleton"
-                " is not a table LieAlgebra keeps, or breaks the sign characters"
+                " is not a table LieAlgebra keeps, breaks the sign characters"
+                " or lets two terms of its cocycle system meet"
             )
 
 
@@ -457,95 +507,39 @@ class _CKBlock0:
 
     `pairs` are the pairs i < j of equal sign character, lexicographic: the
     block's columns.  `rows` are its cocycle rows, in lexicographic triple
-    order, and `image` the delta(e_k) with chi_k = 0, k ascending, each as
-    two tuples of ints: the columns and the codes of their entries.  Every
-    entry is one bracket coefficient, +-C_pq^k, so it is +-x or +-2x for
-    one monomial x_0 = 1 or x_(n+1) = w_ab of the n-th pair a < b: code
-    +-(2m + 1) stands for +-x_m and +-(2m + 2) for +-2 x_m.  `fill` turns
-    the slot values of an algebra into the value of every code, so filling
-    a row is a lookup per entry, and an entry that is zero at that omega is
-    left out.
-
-    The rows come from the one cyclic walk, `_cyclic_terms`, over the
-    bracket index of the skeleton with the code of each slot in place of its
-    coefficient, the walk `cohomology.cocycle_system` makes over a filled
-    table.  A code negates by its sign, as a coefficient does.  No two terms
-    of the walk meet in one entry (the build raises if they do), so two rows
-    with the same columns and codes are equal polynomials in the w_ab and
-    fill to equal rows at every omega.  The elimination skips a row equal
-    to an earlier one (`sparse._build_echelon`), so each is kept once.  No
-    per-triple dict outlives the build, and the index entries of J_ab and
-    M_ab, which make the one pair of their character, are dropped once
-    their column is walked.
+    order, each as two tuples of ints: the columns and the codes of their
+    entries.  They come from `_cyclic_rows` over the skeleton's bracket
+    index with the slots in place of the coefficients, the walk
+    `cohomology.cocycle_system` makes over any other table; a code negates
+    as a coefficient does.  `_CKSkeleton.check` keeps the terms of that
+    walk apart, so each entry is one coefficient +-C_pq^k, and two rows with
+    the same columns and codes fill to equal rows at every omega.  The
+    elimination skips a row equal to an earlier one
+    (`sparse._build_echelon`), so each is kept once.
     """
 
-    __slots__ = ("pairs", "rows", "image")
+    __slots__ = ("pairs", "rows")
 
     def __init__(self, skeleton: _CKSkeleton):
-        chars, dim, P = skeleton.chars, skeleton.basis.dim, skeleton.basis.pair_count
-        pairs = _block_0_pairs(dim, chars)
-        # the code of each slot: a constant c is c x_0, then w_ab, -w_ab, -2 w_ab for each pair
-        code_of = list(_CONSTANTS)
-        for n in range(P):
-            code_of += (2 * n + 3, -2 * n - 3, -2 * n - 4)
-        into = {}  # the bracket index by target, with the code of its slot for C_pq^k
+        pairs = _block_0_pairs(skeleton.basis.dim, skeleton.chars)
+        into = {}  # the bracket index by target, with the slot for C_pq^k
         for (p, q), targets, slot in zip(skeleton.pairs, skeleton.targets, skeleton.slots):
             for k in targets:
-                into.setdefault(k, []).append((p, q, code_of[slot]))
-        col_of = {pair: n for n, pair in enumerate(pairs)}
-        image = tuple(
-            (tuple([col_of[p, q] for p, q, _ in into[k]]), tuple([c for _, _, c in into[k]]))
-            for k in sorted(into)
-            if not chars[k]
-        )
-        # one int object per code: `_cyclic_terms` makes a new one for each term
-        interned = list(range(2 * P + 3)) + list(range(-2 * P - 2, 0))
-        by_triple = {}  # triple -> {column: code}
-        for col, (a, b) in enumerate(pairs):
-            for triple, code in _cyclic_terms(into, a, b):
-                row = by_triple.get(triple)
-                if row is None:
-                    by_triple[triple] = {col: interned[code]}
-                elif col not in row:
-                    row[col] = interned[code]
-                else:
-                    raise AssertionError(
-                        f"two terms of the {skeleton.basis.family} N={skeleton.basis.N}"
-                        f" cocycle system meet in one entry, at {triple}"
-                    )
-            if chars[a]:  # J_ab and M_ab make the one pair of their character
-                into.pop(a, None)
-                into.pop(b, None)
-        rows, seen = [], set()
-        for triple in sorted(by_triple, key=lambda t: (t[0] * dim + t[1]) * dim + t[2]):
-            row = by_triple.pop(triple)
-            coded = (tuple(row), tuple(row.values()))
-            if coded not in seen:
-                seen.add(coded)
-                rows.append(coded)
+                into.setdefault(k, []).append((p, q, slot))
+        rows = _cyclic_rows(into, pairs, skeleton.basis.dim)
+        del into  # so that what the walk drops from its copy is freed
+        rows = dict.fromkeys((tuple(row), tuple(row.values())) for row in rows)
         object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "rows", tuple(rows))
-        object.__setattr__(self, "image", image)
 
     def __setattr__(self, name, value):
         raise AttributeError("_CKBlock0 is immutable")
 
-    @staticmethod
-    def fill(coded, values: list) -> list:
-        """The rows of `rows` or `image` at the slot values of `_CKSkeleton.fill`.
-
-        Entry c of `vector` is the value of code c > 0, and entry -c, read
-        from the end, that of code -c.  Zero entries and empty rows are
-        left out, as the walk over a filled table leaves them out.
-        """
-        positive = [1, 2]
-        at = len(_CONSTANTS)
-        for w, minus_2w in zip(values[at::3], values[at + 2 :: 3]):
-            positive += (w, -minus_2w)
-        vector = [0, *positive, *[-v for v in reversed(positive)]]
+    def fill(self, values: list) -> list:
+        """The rows at the code values of `_CKSkeleton.fill`, less zero entries and empty rows."""
         out = []
-        for cols, codes in coded:
-            row = {c: v for c, k in zip(cols, codes) if (v := vector[k])}
+        for cols, codes in self.rows:
+            row = {c: v for c, k in zip(cols, codes) if (v := values[k])}
             if row:
                 out.append(row)
         return out

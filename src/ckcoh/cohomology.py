@@ -35,15 +35,15 @@ and mu = 0 there, which is what the whole solve gives, key order included.
 
 For the same reason `h2` eliminates block 0 alone.  Its pairs come from the
 generators grouped by character, and its coboundary image is the delta(e_k)
-with chi_k = 0 in the block's own columns; that rank enters dim H2.  For an
-algebra a builder made, pairs, rows and image come from its skeleton
-(`algebra._ck_block_0`): omega enters them only through the w_ab, so they are
-walked once per (N, family) and filled at each algebra's slot values, and
-`cocycle_system` fills them when handed the skeleton's pairs.  Those rows are
-the walk's rows less each row equal to an earlier one, which leaves the
-echelon as it is: `sparse._build_echelon` skips a copy of a row it has
-reduced, because the copy would reduce to zero.  Each
-of those delta(e_k) is a cocycle (the Jacobi identity along e_k, checked for
+with chi_k = 0 in the block's own columns, read from the bracket index;
+that rank enters dim H2.  For an algebra a builder made, the pairs and rows
+come from its skeleton (`algebra._ck_block_0`): omega enters the rows only
+through the w_ab, so they are walked once per (N, family) and filled at each
+algebra's code values when `cocycle_system` is handed the skeleton's pairs.
+Those rows are the walk's rows less each row equal to an earlier one, which
+leaves the echelon as it is: `sparse._build_echelon` skips a copy of a row
+it has reduced, because the copy would reduce to zero.  Each of those
+delta(e_k) is a cocycle (the Jacobi identity along e_k, checked for
 an algebra without characters, by design for a builder's table), so the
 block's system has rank at most len(block) - rank_0, and its elimination
 stops there.  Then
@@ -59,8 +59,9 @@ that some bracket reaches, a count that needs no elimination.
 
 The condition is the Jacobi sum with xi in place of the bracket, so
 `cocycle_system`, `cocycle_defect` and `jacobi_residual` share one walk,
-`algebra._cyclic_terms`, the last two its one accumulator `_cyclic_max`, and
-the image rows delta(e_k) are its bracket index.
+`algebra._cyclic_terms`, the first through its one assembly `_cyclic_rows`
+(which makes the skeleton's block 0 too), the last two through its one
+accumulator `_cyclic_max`, and the image rows delta(e_k) are its index.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ from .algebra import (
     _block_0_pairs,
     _ck_block_0,
     _cyclic_max,
-    _cyclic_terms,
+    _cyclic_rows,
     jacobi_residual,
 )
 from .cochains import OneCochain, TwoCochain, pair_list
@@ -88,32 +89,22 @@ def cocycle_system(algebra: LieAlgebra, pairs=None) -> SparseMatrix:
 
     One column per unknown xi_ij of `pairs`, in that order (default: all
     r(r-1)/2 pairs i < j, lexicographic), one row per generator triple
-    i < j < l in lexicographic order (empty rows are skipped).  Assembled
-    column by column: column (a, b) enters the rows `_cyclic_terms` yields.
+    i < j < l in lexicographic order (empty rows are skipped), as
+    `algebra._cyclic_rows` assembles them.
 
     For an algebra a builder filled from a skeleton, and the block-0 pairs
     of that skeleton (`_CKBlock0.pairs`, which `h2` passes), the rows are
-    the skeleton's block-0 rows filled at the algebra's slot values: the
+    the skeleton's block-0 rows filled at the algebra's code values: the
     same rows, less each row equal to an earlier one.
     """
     skeleton = algebra._skeleton
     zero = None if skeleton is None else _ck_block_0(skeleton)
     if zero is not None and pairs is zero.pairs:
-        rows = zero.fill(zero.rows, algebra._slot_values)
+        rows = zero.fill(algebra._slot_values)
     else:
-        r = algebra.dim
         if pairs is None:
-            pairs = pair_list(r)
-        by_triple = {}
-        for col, (a, b) in enumerate(pairs):
-            for triple, coef in _cyclic_terms(algebra._into, a, b):
-                row = by_triple.setdefault(triple, {})
-                v = row.pop(col, 0) + coef
-                if v:
-                    row[col] = v
-        # lexicographic triple order through an integer key, cheaper than tuple comparisons
-        order = sorted(by_triple, key=lambda t: (t[0] * r + t[1]) * r + t[2])
-        rows = [by_triple[t] for t in order if by_triple[t]]
+            pairs = pair_list(algebra.dim)
+        rows = list(_cyclic_rows(algebra._into, pairs, algebra.dim))
     matrix = SparseMatrix(len(rows), len(pairs))
     matrix.data[:] = rows
     return matrix
@@ -170,8 +161,8 @@ def central_extension(algebra: LieAlgebra, xi: TwoCochain) -> LieAlgebra:
     for (i, j), v in xi.entries.items():
         table.setdefault((i, j), []).append((r, v))
     names = None
-    if algebra.names:
-        names = tuple(algebra.names) + ("Xi",)
+    if algebra.names or algebra.is_ck():
+        names = tuple(map(algebra.name, range(r))) + ("Xi",)
     return LieAlgebra(r + 1, table, names=names)
 
 
@@ -186,16 +177,16 @@ class CohomologyResult:
 def _block_0(algebra: LieAlgebra):
     """The character-0 pairs, lexicographic, and the delta(e_k) with chi_k = 0 in their columns.
 
-    From the skeleton's `_CKBlock0` when a builder filled the table, else
-    from the generators grouped by character (one group without characters)
-    and the bracket index, k ascending.
+    The pairs are the skeleton's `_CKBlock0.pairs`, which `cocycle_system`
+    knows, when a builder filled the table, else the generators grouped by
+    character (one group without characters); the delta(e_k) come from the
+    bracket index, k ascending.
     """
-    skeleton = algebra._skeleton
-    if skeleton is not None:
-        zero = _ck_block_0(skeleton)
-        return zero.pairs, zero.fill(zero.image, algebra._slot_values)
-    chars = algebra._chars
-    block = _block_0_pairs(algebra.dim, chars)
+    chars, skeleton = algebra._chars, algebra._skeleton
+    if skeleton is None:
+        block = _block_0_pairs(algebra.dim, chars)
+    else:
+        block = _ck_block_0(skeleton).pairs
     col_of = {pair: n for n, pair in enumerate(block)}
     into = algebra._into
     # delta(e_k) lies on the pairs of character chi_k
@@ -210,10 +201,10 @@ def h2(algebra: LieAlgebra, representatives: bool = True) -> CohomologyResult:
 
     Only the character-0 block is eliminated: its pairs come from the
     generators grouped by character, and its coboundaries are the delta(e_k)
-    with chi_k = 0, in the block's own columns (both from the skeleton for
-    an algebra a builder made, see `_block_0`).  dim H2 = nullity - rank of
-    those coboundaries, dim B2 = dim [g, g] (that rank plus the rank of the
-    brackets of nonzero character) and dim Z2 = dim B2 + dim H2.
+    with chi_k = 0, in the block's own columns (see `_block_0`).
+    dim H2 = nullity - rank of those coboundaries, dim B2 = dim [g, g] (that
+    rank plus the rank of the brackets of nonzero character) and
+    dim Z2 = dim B2 + dim H2.
     Representatives are the block's kernel basis vectors, taken in canonical
     order and kept exactly when independent of the coboundary image plus the
     representatives already chosen.

@@ -8,9 +8,11 @@ every sign vector with N <= 4 in both families and five rational omegas, and
 the text and JSON readers must give back the characters, also at the zero
 omegas of N = 5, 6, whose tables come nearest the size below which a reader
 does not rebuild.  The same table made directly, without a builder, has no
-characters and must give the same `h2` as one block.
+characters and must give the same `h2` as one block.  Solving either leaves
+its bracket index, and the builder's skeleton, as they were.
 """
 
+import copy
 import json
 from itertools import product
 from math import comb
@@ -18,7 +20,7 @@ from math import comb
 import pytest
 
 from ckcoh.algebra import LieAlgebra, build_su_omega, build_u_omega
-from ckcoh.cohomology import h2
+from ckcoh.cohomology import _block_0, cocycle_system, h2
 from ckcoh.omega import OmegaVector
 
 from full_oracle import _bracket_index, _characters
@@ -59,3 +61,18 @@ def test_a_table_made_directly_is_solved_as_one_block(build):
         assert [list(xi.entries.items()) for xi in whole.representatives] == [
             list(xi.entries.items()) for xi in block.representatives
         ], omega
+
+
+@pytest.mark.parametrize("build", FAMILIES, ids=["su", "u"])
+def test_solving_leaves_the_index_and_the_skeleton_as_they_were(build):
+    g = build(3, OmegaVector.parse("+,0,-"))
+    read = LieAlgebra.from_text(LieAlgebra(g.dim, g.constants).to_text())
+    skeleton = g._skeleton
+    columns = copy.deepcopy((skeleton.pairs, skeleton.targets, skeleton.slots))
+    for algebra in (g, read):
+        before = copy.deepcopy(algebra._into)
+        cocycle_system(algebra)
+        cocycle_system(algebra, _block_0(algebra)[0])
+        h2(algebra)
+        assert list(algebra._into.items()) == list(before.items()), algebra
+    assert (skeleton.pairs, skeleton.targets, skeleton.slots) == columns

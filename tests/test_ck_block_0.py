@@ -111,4 +111,4 @@ def test_block_0_is_made_once_per_skeleton_and_keeps_each_row_once():
     zero = _ck_block_0(_build_ck(6, [1] * 6, "su")._skeleton)
     assert len(set(zero.rows)) == len(zero.rows) == 155
     assert _ck_block_0(_build_ck(6, [0] * 6, "su")._skeleton) is zero
-    assert all(len(cols) == len(codes) for cols, codes in zero.rows + zero.image)
+    assert all(len(cols) == len(codes) for cols, codes in zero.rows)

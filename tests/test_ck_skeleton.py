@@ -13,8 +13,10 @@ The skeleton is checked once, when it is made: a skeleton whose table
 `LieAlgebra` would not keep as it is must fail that check, and
 `LieAlgebra.__init__` must indeed change or refuse the table it fills.  So
 must a skeleton that breaks the sign characters, a target whose character
-is not the bracket's or several targets of nonzero character, though
-`LieAlgebra` keeps its table.
+is not the bracket's or several targets of nonzero character, or one that
+lets two terms of the cyclic walk meet in one entry of block 0, a repeated
+target or a bracket along its own generator, though `LieAlgebra` keeps
+those tables, and one whose slot is not a code of the skeleton.
 """
 
 import random
@@ -24,13 +26,13 @@ from itertools import product
 import pytest
 
 from ckcoh.algebra import (
-    _CONSTANTS,
     LieAlgebra,
+    _block_0_pairs,
     _build_ck,
-    _CKBlock0,
     _ck_skeleton,
     _ck_structure,
     _CKSkeleton,
+    _cyclic_terms,
 )
 from ckcoh.generators import CKBasis, _basis
 from ckcoh.omega import OmegaVector
@@ -114,12 +116,16 @@ def _corrupted(skeleton, fault):
         targets[multi] = targets[multi][:1] * 2
     elif fault == "no target":
         targets[0] = ()
-    elif fault == "slot out of range":
-        slots[0] = len(_CONSTANTS) + 3 * skeleton.basis.pair_count
+    elif fault == "slot out of range":  # fill reads the value of another code
+        slots[0] = 2 * skeleton.basis.pair_count + 3
     elif fault == "target of another character":
         targets[0] = (skeleton.basis.b(1),)
     elif fault == "several targets of nonzero character":
         targets[0] = (targets[0][0], skeleton.basis.pair_count + targets[0][0])
+    elif fault == "target along its own generator":
+        # [J_ab, B_l] along J_ab and [M_ab, B_l] along M_ab, of their own characters
+        n = next(n for n, (_, q) in enumerate(pairs) if q >= 2 * skeleton.basis.pair_count)
+        targets[n], targets[n + 1] = pairs[n][:1], pairs[n + 1][:1]
     copy = _CKSkeleton(skeleton.basis)
     object.__setattr__(copy, "pairs", tuple(pairs))
     object.__setattr__(copy, "targets", tuple(targets))
@@ -152,6 +158,7 @@ def _kept_by_lie_algebra(skeleton) -> bool:
         "slot out of range",
         "target of another character",
         "several targets of nonzero character",
+        "target along its own generator",
     ],
 )
 def test_the_check_fails_on_a_corrupted_skeleton(fault):
@@ -162,15 +169,38 @@ def test_the_check_fails_on_a_corrupted_skeleton(fault):
     corrupted = _corrupted(skeleton, fault)
     with pytest.raises(AssertionError):
         corrupted.check()
-    if fault != "slot out of range":  # fill itself fails there
-        # a table whose characters are broken is still one LieAlgebra keeps
-        assert _kept_by_lie_algebra(corrupted) == fault.endswith("character")
+    # a wrong coefficient, broken characters or an own target still make a
+    # table LieAlgebra keeps
+    kept = ("slot out of range", "target along its own generator")
+    assert _kept_by_lie_algebra(corrupted) == (fault.endswith("character") or fault in kept)
+
+
+def _meetings(skeleton) -> int:
+    """How many terms of the cyclic walk over block 0 land in an entry already reached."""
+    into = {}
+    for (p, q), targets, slot in zip(skeleton.pairs, skeleton.targets, skeleton.slots):
+        for k in targets:
+            into.setdefault(k, []).append((p, q, slot))
+    entries = [
+        (triple, col)
+        for col, (a, b) in enumerate(_block_0_pairs(skeleton.basis.dim, skeleton.chars))
+        for triple, _ in _cyclic_terms(into, a, b)
+    ]
+    return len(entries) - len(set(entries))
 
 
 def test_block_0_refuses_two_terms_in_one_entry():
-    # a repeated target of [J_02, M_02] meets itself in the column (B_1, B_2)
-    with pytest.raises(AssertionError, match="meet in one entry"):
-        _CKBlock0(_corrupted(_CKSkeleton(CKBasis(3, "u")), "repeated target"))
+    # `_CKBlock0` reads each entry of a walked row as one coefficient; the
+    # check refuses both faults that make two terms meet.  A repeated target
+    # of [J_02, M_02] meets itself in the column (B_1, B_2); [J_ab, B_l] along
+    # J_ab meets [M_ab, B_l] along M_ab in the column (J_ab, M_ab).
+    skeleton = _CKSkeleton(CKBasis(3, "u"))
+    assert _meetings(skeleton) == 0
+    for fault in ("repeated target", "target along its own generator"):
+        corrupted = _corrupted(skeleton, fault)
+        assert _meetings(corrupted) > 0, fault
+        with pytest.raises(AssertionError, match="two terms of its cocycle system meet"):
+            corrupted.check()
 
 
 def test_a_skeleton_is_immutable():

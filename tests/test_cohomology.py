@@ -7,6 +7,7 @@ import pytest
 
 import ckcoh.algebra
 import ckcoh.cohomology
+import ckcoh.extensions
 import ckcoh.sparse
 from ckcoh.algebra import LieAlgebra, build_su_omega, build_u_omega, jacobi_residual
 from ckcoh.cochains import OneCochain, TwoCochain, pair_count, pair_list
@@ -22,10 +23,16 @@ from ckcoh.cohomology import (
     h2,
     is_coboundary,
 )
-from ckcoh.extensions import verify_theorem
+from ckcoh.extensions import (
+    BasicCoefficients,
+    classify,
+    dim_h2_formula,
+    extension_cocycle,
+    verify_theorem,
+)
 from ckcoh.generators import CKBasis
 from ckcoh.omega import OmegaVector, sign_vectors
-from ckcoh.sparse import SparseMatrix, nullspace, rank
+from ckcoh.sparse import Echelon, SparseMatrix, _integer_row, nullspace, rank
 from ckcoh.structure import SignedPermutation, transport_constants
 
 from dense_oracle import coboundary_rows_dense, h2_dimensions_dense, row_echelon_rank
@@ -279,6 +286,56 @@ def test_kunneth_u_over_su_adds_h1_of_su():
         su = build_su_omega(omega.n, omega)
         s, u = h2(su, representatives=False), h2(build_u_omega(omega.n, omega), False)
         assert u.dim_H2 - s.dim_H2 == su.dim - s.dim_B2, omega
+
+
+def test_the_canonical_cocycles_verify_theorem_checks_are_cocycles(monkeypatch):
+    # verify_theorem solves for them with assume_cocycle=True, so a cochain
+    # written wrongly would read as non-trivial and pass; check each directly
+    solve, solved = ckcoh.extensions.are_coboundaries, []
+
+    def recording(algebra, cochains, assume_cocycle=False):
+        solved.append((algebra, cochains))
+        return solve(algebra, cochains, assume_cocycle)
+
+    monkeypatch.setattr(ckcoh.extensions, "are_coboundaries", recording)
+    checked = 0
+    for omega in _omegas(5):
+        for family in ("su", "u"):
+            report = verify_theorem(family, omega.n, omega)
+            ((g, cochains),) = solved
+            solved.clear()
+            assert g is report.algebra and len(cochains) == len(report.cocycle_checks)
+            for check, xi in zip(report.cocycle_checks, cochains):
+                assert cocycle_defect(g, xi) == 0, (family, omega, check.label)
+            checked += len(cochains)
+    assert checked == 4537
+
+
+def test_the_non_trivial_canonical_cocycles_are_a_basis_of_h2():
+    # modulo the delta(e_k) of block 0, each alpha_k with omega_k != 0 adds
+    # nothing, and the non-trivial alpha, beta and gamma, in label order, are
+    # independent and as many as the formula: a basis of H2, not a count
+    for omega in _omegas(4):
+        for build in (build_su_omega, build_u_omega):
+            g = build(omega.n, omega)
+            block, image = _block_0(g)
+            col_of = {pair: n for n, pair in enumerate(block)}
+            span = Echelon(len(block))
+            for row in image:
+                span.absorb(_integer_row(row))
+            rank_0 = span.rank
+            cls = classify(g.family, omega.n, omega)
+            zeros = cls.type2_nontrivial
+            cases = [(False, {"alpha": {k: 1}}) for k in range(1, omega.n + 1) if k not in zeros]
+            cases += [(True, {"alpha": {k: 1}}) for k in zeros]
+            cases += [(True, {"beta": {pair: 1}}) for pair in cls.type3_beta_allowed]
+            cases += [(True, {"gamma": {k: 1}}) for k in cls.type3_gamma_allowed]
+            for raises, coeffs in cases:
+                xi = extension_cocycle(g.family, omega.n, omega, BasicCoefficients(**coeffs))
+                assert set(xi.entries) <= set(col_of), (omega, g.family, coeffs)
+                row = {col_of[pair]: v for pair, v in xi.entries.items()}
+                assert span.absorb(_integer_row(row)) == raises, (omega, g.family, coeffs)
+            assert span.rank - rank_0 == dim_h2_formula(g.family, omega), (omega, g.family)
 
 
 def _b2_algebras():

@@ -6,7 +6,9 @@ mutant may still parse; what it may not do is raise anything but ValueError,
 which is what the CLI turns into a usage error.
 
 A read costs what it reads: a 9-byte header that declares ten million
-generators over no bracket holds nothing per generator.
+generators over no bracket holds nothing per generator, and neither does a
+4 KB text or JSON read whose CK header declares N = 2000 over one bracket,
+though it still names its generators as the builders do.
 """
 
 import copy
@@ -20,6 +22,7 @@ import pytest
 from ckcoh.algebra import LieAlgebra, build_su_omega, build_u_omega
 from ckcoh.cochains import OneCochain, TwoCochain
 from ckcoh.extensions import BasicCoefficients
+from ckcoh.generators import generator_names
 from ckcoh.omega import OmegaVector
 
 MUTANTS = 300
@@ -129,3 +132,29 @@ def test_a_short_read_holds_nothing_per_declared_generator():
         tracemalloc.stop()
     assert (g.dim, g.constants, g._chars) == (10_000_000, {}, None)
     assert peak < 5 * 2**20, peak
+
+
+def _short_ck_reads(N, family):
+    """A text and a JSON read of one bracket under the CK header of (N, family)."""
+    dim = (N + 1) ** 2 - (family == "su")
+    head = f"{dim} {N} {family} " + " ".join(["1"] * N)
+    obj = {"dim": dim, "family": family, "omega": ["1"] * N, "constants": [[0, 1, 2, "1"]]}
+    return LieAlgebra.from_text(head + "\n0 1 2 1\n"), LieAlgebra.from_json_obj(obj)
+
+
+def test_a_short_read_under_a_ck_header_holds_nothing_per_declared_generator():
+    tracemalloc.start()
+    try:
+        reads = _short_ck_reads(2000, "su")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20, peak
+    for g in reads:
+        assert (g.dim, len(g.constants), g.names) == (4_004_000, 1, None)
+        assert (g.name(0), g.name(g.dim - 1), g.name(g.dim)) == ("J(0,1)", "B(2000)", f"X_{g.dim}")
+    for N in (1, 2, 3):
+        for family in ("su", "u"):
+            names = generator_names(N, family)
+            for g in _short_ck_reads(N, family):
+                assert g.names is None and tuple(map(g.name, range(g.dim))) == names
