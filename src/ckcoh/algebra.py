@@ -351,11 +351,12 @@ class _CKSkeleton:
     the skeleton's pairs, so an algebra at N = 30 holds no second copy of
     them.  `chars` are the sign characters: sigma_S, S a subset of {0..N},
     scales a generator of mask chi by (-1)^|S & chi|, with chi = e_a + e_b
-    on J_ab and M_ab, 0 on B_l and I.  Immutable: the library shares one
-    skeleton per basis (`_ck_skeleton`).
+    on J_ab and M_ab, 0 on B_l and I.  `block_pairs` are the pairs i < j of
+    equal character, lexicographic: the columns of block 0 (`_CKBlock0`).
+    Immutable: the library shares one skeleton per basis (`_ck_skeleton`).
     """
 
-    __slots__ = ("basis", "pairs", "targets", "slots", "chars", "names")
+    __slots__ = ("basis", "pairs", "targets", "slots", "chars", "block_pairs", "names")
 
     def __init__(self, basis: CKBasis):
         N, P = basis.N, basis.pair_count
@@ -400,6 +401,7 @@ class _CKSkeleton:
         object.__setattr__(self, "targets", tuple(columns))
         object.__setattr__(self, "slots", tuple(slots))
         object.__setattr__(self, "chars", tuple(chars))
+        object.__setattr__(self, "block_pairs", _block_0_pairs(basis.dim, chars))
         object.__setattr__(self, "names", basis.names())
 
     def __setattr__(self, name, value):
@@ -505,31 +507,28 @@ def _ck_skeleton(basis: CKBasis) -> _CKSkeleton:
 class _CKBlock0:
     """Block 0 of the cocycle system of su_omega / u_omega at one (N, family), omega left open.
 
-    `pairs` are the pairs i < j of equal sign character, lexicographic: the
-    block's columns.  `rows` are its cocycle rows, in lexicographic triple
-    order, each as two tuples of ints: the columns and the codes of their
-    entries.  They come from `_cyclic_rows` over the skeleton's bracket
-    index with the slots in place of the coefficients, the walk
-    `cohomology.cocycle_system` makes over any other table; a code negates
-    as a coefficient does.  `_CKSkeleton.check` keeps the terms of that
-    walk apart, so each entry is one coefficient +-C_pq^k, and two rows with
-    the same columns and codes fill to equal rows at every omega.  The
-    elimination skips a row equal to an earlier one
-    (`sparse._build_echelon`), so each is kept once.
+    Its columns are the skeleton's `block_pairs`.  `rows` are its cocycle
+    rows, in lexicographic triple order, each as two tuples of ints: the
+    columns and the codes of their entries.  They come from `_cyclic_rows`
+    over the skeleton's bracket index with the slots in place of the
+    coefficients, the walk `cohomology.cocycle_system` makes over any other
+    table; a code negates as a coefficient does.  `_CKSkeleton.check` keeps
+    the terms of that walk apart, so each entry is one coefficient
+    +-C_pq^k, and two rows with the same columns and codes fill to equal
+    rows at every omega.  The elimination skips a row equal to an earlier
+    one (`sparse._build_echelon`), so each is kept once.
     """
 
-    __slots__ = ("pairs", "rows")
+    __slots__ = ("rows",)
 
     def __init__(self, skeleton: _CKSkeleton):
-        pairs = _block_0_pairs(skeleton.basis.dim, skeleton.chars)
         into = {}  # the bracket index by target, with the slot for C_pq^k
         for (p, q), targets, slot in zip(skeleton.pairs, skeleton.targets, skeleton.slots):
             for k in targets:
                 into.setdefault(k, []).append((p, q, slot))
-        rows = _cyclic_rows(into, pairs, skeleton.basis.dim)
+        rows = _cyclic_rows(into, skeleton.block_pairs, skeleton.basis.dim)
         del into  # so that what the walk drops from its copy is freed
         rows = dict.fromkeys((tuple(row), tuple(row.values())) for row in rows)
-        object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "rows", tuple(rows))
 
     def __setattr__(self, name, value):

@@ -16,7 +16,8 @@ Exit codes: 0 success / match, 1 verification mismatch, 2 usage error
 (an unwritable --out or unreadable --golden path among them).
 `--format json` emits a machine-readable mirror with identical numeric
 content; `--out PATH` writes the payload to a file instead of stdout.
-CKCOH_THREADS caps the sweep worker pool (default: available cores).
+CKCOH_THREADS is the number of processes a sweep uses, this one included
+(default and cap: the usable cores).
 
 Each command is `cmd_x(args, omega) -> (payload, ok)`, the payload a JSON
 object under `--format json` and text otherwise; `main` parses omega,
@@ -32,7 +33,6 @@ import itertools
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .algebra import build_su_omega, build_u_omega, jacobi_residual
 from .extensions import (
@@ -234,8 +234,15 @@ def _sweep_case(case):
 
 
 def _sweep_workers() -> int:
-    """CKCOH_THREADS clamped to 1..cores; the core count when unset."""
-    cores = os.cpu_count() or 1
+    """CKCOH_THREADS clamped to 1..cores; the core count when unset.
+
+    The cores are those this process may run on (its affinity mask) where the
+    platform reports them, else every core.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
     env = os.environ.get("CKCOH_THREADS")
     if env:
         try:
@@ -245,17 +252,72 @@ def _sweep_workers() -> int:
     return cores
 
 
+def _take_cases(cases, counter) -> list:
+    """`(index, result)` of each case this process takes, one index per take of `counter`."""
+    taken = []
+    while True:
+        with counter.get_lock():
+            index = counter.value
+            counter.value = index + 1
+        if index >= len(cases):
+            return taken
+        taken.append((index, _sweep_case(cases[index])))
+
+
+def _sweep_child(cases, counter, sender):
+    """A child's share of a sweep: take cases until none is left, then send all its results."""
+    sender.send(_take_cases(cases, counter))
+    sender.close()
+
+
 def run_sweep(cases) -> list[dict]:
     """`_sweep_case` on every (family, n, signs) case, results in case order.
 
-    Uses a process pool of `_sweep_workers()` processes when that and the
-    case count both exceed one.
+    The sweep runs in k = min(`_sweep_workers()`, len(cases)) processes, this
+    one included; with k = 1 it is a plain loop here.  Otherwise k - 1
+    children are started, forked where that is the start method (the library
+    starts no thread), and every process takes the next case index from one
+    shared counter until none is left, so no process idles while cases
+    remain.  Each child sends its results once, when it is done.  No child
+    outlives the call: the children still alive are terminated, and every
+    child is joined, on success and on failure.  A child that exits without
+    sending its results raises RuntimeError naming its exit code.
     """
     workers = min(_sweep_workers(), len(cases))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_sweep_case, cases, chunksize=8))
-    return [_sweep_case(case) for case in cases]
+    if workers <= 1:
+        return [_sweep_case(case) for case in cases]
+    import multiprocessing  # only a parallel sweep pays for the import
+
+    counter = multiprocessing.Value("q", 0)
+    receivers, children = [], []
+    try:
+        for _ in range(workers - 1):
+            receiver, sender = multiprocessing.Pipe(duplex=False)
+            receivers.append(receiver)
+            child = multiprocessing.Process(target=_sweep_child, args=(cases, counter, sender))
+            child.start()
+            children.append(child)
+            sender.close()  # the child holds the only write end: its exit reads as EOF
+        taken = _take_cases(cases, counter)
+        for receiver, child in zip(receivers, children):
+            try:
+                taken += receiver.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(
+                    f"a sweep process exited with code {child.exitcode} before sending its results"
+                ) from None
+    finally:
+        for receiver in receivers:
+            receiver.close()
+        for child in children:
+            if child.is_alive():
+                child.terminate()
+            child.join()
+    results = [None] * len(cases)
+    for index, result in taken:
+        results[index] = result
+    return results
 
 
 def cmd_sweep(args, omega):

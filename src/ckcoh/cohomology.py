@@ -37,9 +37,10 @@ For the same reason `h2` eliminates block 0 alone.  Its pairs come from the
 generators grouped by character, and its coboundary image is the delta(e_k)
 with chi_k = 0 in the block's own columns, read from the bracket index;
 that rank enters dim H2.  For an algebra a builder made, the pairs and rows
-come from its skeleton (`algebra._ck_block_0`): omega enters the rows only
-through the w_ab, so they are walked once per (N, family) and filled at each
-algebra's code values when `cocycle_system` is handed the skeleton's pairs.
+come from its skeleton (`block_pairs`, `algebra._ck_block_0`): omega enters
+the rows only through the w_ab, so they are walked once per (N, family) and
+filled at each algebra's code values when `cocycle_system` is handed the
+skeleton's pairs.
 Those rows are the walk's rows less each row equal to an earlier one, which
 leaves the echelon as it is: `sparse._build_echelon` skips a copy of a row
 it has reduced, because the copy would reduce to zero.  Each of those
@@ -93,14 +94,14 @@ def cocycle_system(algebra: LieAlgebra, pairs=None) -> SparseMatrix:
     `algebra._cyclic_rows` assembles them.
 
     For an algebra a builder filled from a skeleton, and the block-0 pairs
-    of that skeleton (`_CKBlock0.pairs`, which `h2` passes), the rows are
-    the skeleton's block-0 rows filled at the algebra's code values: the
-    same rows, less each row equal to an earlier one.
+    of that skeleton (`_CKSkeleton.block_pairs`, which `h2` passes), the
+    rows are the skeleton's block-0 rows filled at the algebra's code
+    values: the same rows, less each row equal to an earlier one.  Any
+    other pair list is walked, and the block's rows are not made for it.
     """
     skeleton = algebra._skeleton
-    zero = None if skeleton is None else _ck_block_0(skeleton)
-    if zero is not None and pairs is zero.pairs:
-        rows = zero.fill(algebra._slot_values)
+    if skeleton is not None and pairs is skeleton.block_pairs:
+        rows = _ck_block_0(skeleton).fill(algebra._slot_values)
     else:
         if pairs is None:
             pairs = pair_list(algebra.dim)
@@ -177,16 +178,13 @@ class CohomologyResult:
 def _block_0(algebra: LieAlgebra):
     """The character-0 pairs, lexicographic, and the delta(e_k) with chi_k = 0 in their columns.
 
-    The pairs are the skeleton's `_CKBlock0.pairs`, which `cocycle_system`
+    The pairs are the skeleton's `block_pairs`, which `cocycle_system`
     knows, when a builder filled the table, else the generators grouped by
     character (one group without characters); the delta(e_k) come from the
     bracket index, k ascending.
     """
     chars, skeleton = algebra._chars, algebra._skeleton
-    if skeleton is None:
-        block = _block_0_pairs(algebra.dim, chars)
-    else:
-        block = _ck_block_0(skeleton).pairs
+    block = _block_0_pairs(algebra.dim, chars) if skeleton is None else skeleton.block_pairs
     col_of = {pair: n for n, pair in enumerate(block)}
     into = algebra._into
     # delta(e_k) lies on the pairs of character chi_k

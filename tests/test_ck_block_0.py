@@ -1,7 +1,7 @@
 """Block 0 filled from the skeleton against the walk over the filled table.
 
-`h2` takes the block-0 pairs, the cocycle rows and the delta(e_k) image of a
-builder's algebra from `algebra._ck_block_0`, filled at the algebra's slot
+`h2` takes the block-0 pairs of a builder's algebra from its skeleton and
+the cocycle rows from `algebra._ck_block_0`, filled at the algebra's code
 values.  `full_oracle.checked_build_ck` makes the same algebra with its sign
 characters and no skeleton, so `cohomology` solves it by the walk over its
 table.  On every sign vector with N <= 5 in both families, the seeded
@@ -79,7 +79,7 @@ def test_block_0_from_the_skeleton_matches_the_walk(family):
         walked = checked_build_ck(omega.n, omega, family)
         assert walked._skeleton is None and walked._chars == g._chars
         (block, image), (want_block, want_image) = _block_0(g), _block_0(walked)
-        assert block is _ck_block_0(g._skeleton).pairs and block == want_block, values
+        assert block is g._skeleton.block_pairs and block == want_block, values
         assert _items(image) == _items(want_image), values
         system = cocycle_system(g, block)
         want = cocycle_system(walked, block)
@@ -112,3 +112,16 @@ def test_block_0_is_made_once_per_skeleton_and_keeps_each_row_once():
     assert len(set(zero.rows)) == len(zero.rows) == 155
     assert _ck_block_0(_build_ck(6, [0] * 6, "su")._skeleton) is zero
     assert all(len(cols) == len(codes) for cols, codes in zero.rows)
+
+
+def test_a_pair_list_other_than_the_block_is_walked_without_making_the_block():
+    omega = OmegaVector([1, -1, 0, 1])
+    g, walked = _build_ck(4, omega, "su"), checked_build_ck(4, omega, "su")
+    _ck_block_0.cache_clear()
+    for pairs in ([(0, 1), (0, 2)], None):
+        system = cocycle_system(g, pairs)
+        assert _ck_block_0.cache_info().currsize == 0
+        assert _items(system.data) == _items(cocycle_system(walked, pairs).data)
+        assert system.rows > 0
+    h2(g)  # hands over the skeleton's block pairs
+    assert _ck_block_0.cache_info().currsize == 1

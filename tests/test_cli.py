@@ -1,5 +1,7 @@
 import argparse
+import itertools
 import json
+import multiprocessing
 import os
 import re
 import subprocess
@@ -334,6 +336,107 @@ def test_h2_builds_the_algebra_once(capsys, monkeypatch):
 def test_sweep_workers_capped_at_core_count(monkeypatch):
     monkeypatch.setenv("CKCOH_THREADS", "10000")
     assert 1 <= _sweep_workers() <= (os.cpu_count() or 1)
+
+
+def test_sweep_workers_default_to_the_affinity_mask(monkeypatch):
+    monkeypatch.delenv("CKCOH_THREADS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert _sweep_workers() == 1
+    monkeypatch.setenv("CKCOH_THREADS", "4")
+    assert _sweep_workers() == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert _sweep_workers() == 3
+
+
+def _sweep_processes(monkeypatch, count):
+    """Make `run_sweep` use `count` processes, whatever the host's cores."""
+    monkeypatch.setenv("CKCOH_THREADS", str(count))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+
+
+MIXED_CASES = [
+    (family, n, signs)
+    for n in (1, 2, 3)
+    for signs in itertools.product("+-0", repeat=n)
+    for family in ("su", "u")
+]
+
+
+@pytest.mark.parametrize("processes", [1, 2, 3])
+def test_run_sweep_gives_the_serial_results_in_case_order(monkeypatch, processes):
+    serial = [ckcoh.cli._sweep_case(case) for case in MIXED_CASES]
+    _sweep_processes(monkeypatch, processes)
+    assert ckcoh.cli.run_sweep(MIXED_CASES) == serial
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="children must see the patch")
+def test_run_sweep_takes_every_case_once_with_more_processes_than_cores(monkeypatch, tmp_path):
+    log = tmp_path / "taken"
+
+    def logged(case):
+        with open(log, "a", encoding="utf-8") as handle:  # one short append per case
+            handle.write(f"{case} {os.getpid()}\n")
+        return case
+
+    cases = list(range(600))
+    _sweep_processes(monkeypatch, min((os.cpu_count() or 1) + 1, 9))  # one more than the cores
+    monkeypatch.setattr(ckcoh.cli, "_sweep_case", logged)
+    assert ckcoh.cli.run_sweep(cases) == cases
+    assert multiprocessing.active_children() == []
+    taken = [line.split() for line in log.read_text(encoding="utf-8").splitlines()]
+    assert sorted(int(index) for index, _ in taken) == cases
+    assert len({pid for _, pid in taken}) > 1
+
+
+def test_run_sweep_raises_when_a_case_raises_and_leaves_no_child(monkeypatch):
+    def failing(case):
+        raise ZeroDivisionError(f"case {case}")
+
+    _sweep_processes(monkeypatch, 3)
+    monkeypatch.setattr(ckcoh.cli, "_sweep_case", failing)
+    # each child dies on its first case, so this process takes one and raises
+    with pytest.raises(ZeroDivisionError, match="case"):
+        ckcoh.cli.run_sweep(MIXED_CASES)
+    assert multiprocessing.active_children() == []
+
+
+DYING_CHILD = """
+import multiprocessing, os
+from ckcoh import cli
+
+parent, taken, real = os.getpid(), [], cli._sweep_case
+
+def dying(case):
+    taken.append(case)
+    if os.getpid() != parent and len(taken) == 3:
+        os._exit(3)
+    return real(case)
+
+os.environ["CKCOH_THREADS"] = "2"
+os.sched_getaffinity = lambda pid: {0, 1}
+cli._sweep_case = dying
+try:
+    cli.run_sweep([("su", 2, signs) for signs in ("++", "+-", "+0", "0+", "00", "-0") * 4])
+except RuntimeError as exc:
+    print(exc)
+print(multiprocessing.active_children())
+"""
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="children must see the patch")
+def test_a_child_that_dies_mid_share_fails_the_sweep_without_a_hang():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run(
+        [sys.executable, "-c", DYING_CHILD], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == [
+        "a sweep process exited with code 3 before sending its results",
+        "[]",
+    ]
 
 
 @pytest.mark.parametrize(

@@ -5,9 +5,15 @@ somewhere in the same module, in code or in a string annotation.  The
 package `__init__.py` is exempt, since its imports are re-exports; its
 `__all__` must list exactly the names it imports, so a star import neither
 misses a re-export nor names one that is gone.
+
+Importing the CLI loads no process-pool machinery: only a sweep that runs
+in several processes imports `multiprocessing`.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ckcoh"
@@ -68,3 +74,15 @@ def test_all_lists_exactly_the_reexports():
     namespace = {}
     exec("from ckcoh import *", namespace)
     assert set(listed) <= set(namespace)
+
+
+def test_the_cli_imports_no_process_machinery():
+    src = str(PACKAGE.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = (
+        "import sys, ckcoh.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
+    )
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"

@@ -2,8 +2,8 @@
 
 `perfbench/digests.json` holds the sha256 of the payload of each CLI call
 the benchmark makes at its default seed, keyed by its argv joined with
-spaces.  Each call runs here through `ckcoh.cli.main` in process, with one
-sweep worker, and must exit 0 with its recorded digest.  The file is only
+spaces.  Each call runs here through `ckcoh.cli.main` in process, the sweep
+in this process alone, and must exit 0 with its recorded digest.  The file is only
 read.
 """
 
