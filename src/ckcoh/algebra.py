@@ -38,15 +38,15 @@ one per triple, are one assembly, `_cyclic_rows`.
 
 Block 0 of the cocycle system, the part `cohomology.h2` eliminates, has one
 pattern per (N, family) as well.  `_ck_block_0` makes it from a skeleton on
-first use: `_cyclic_rows` over the skeleton's bracket index, with the codes
-in place of the coefficients, gives every row as columns and codes, and a
-row equal to an earlier one is kept once.  Leaving it out changes no
-echelon: the equal row fills to an equal row at every omega, and the
-elimination skips a copy of a row it has reduced, since that copy would
-reduce to zero.  An algebra the builders make holds its skeleton and code
-values, so `h2` fills the block at its omega with one lookup per entry; a
-table read or made by hand holds neither, nor any sign characters, and is
-walked as it is.
+first use, a tuple of rows: `_cyclic_rows` over the skeleton's bracket
+index, with the codes in place of the coefficients, gives every row as
+columns and codes, and a row equal to an earlier one is kept once.  Leaving
+it out changes no echelon: the equal row fills to an equal row at every
+omega, and the elimination skips a copy of a row it has reduced, since that
+copy would reduce to zero.  An algebra the builders make holds its skeleton
+and code values, so `_fill_rows` fills the block at its omega with one
+lookup per entry; a table read or made by hand holds neither, nor any sign
+characters, and is walked as it is.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from itertools import combinations
 from math import comb
 
 from .generators import CKBasis, _basis, _generator_name, check_family, delta_selector
-from .omega import OmegaVector
+from .omega import OmegaVector, _of_length
 from .rationals import Scalar, _lines, _reader, format_rational, parse_rational, ratio
 
 
@@ -352,7 +352,7 @@ class _CKSkeleton:
     them.  `chars` are the sign characters: sigma_S, S a subset of {0..N},
     scales a generator of mask chi by (-1)^|S & chi|, with chi = e_a + e_b
     on J_ab and M_ab, 0 on B_l and I.  `block_pairs` are the pairs i < j of
-    equal character, lexicographic: the columns of block 0 (`_CKBlock0`).
+    equal character, lexicographic: the columns of block 0 (`_ck_block_0`).
     Immutable: the library shares one skeleton per basis (`_ck_skeleton`).
     """
 
@@ -469,7 +469,7 @@ class _CKSkeleton:
         Last, no [X_p, X_q] has a target p or q.  Two terms of the walk for
         the value on (a, b) meet in one entry only at a repeated target, or
         where [a, c] has a component along a and [b, c] one along b, so each
-        entry of a `_CKBlock0` row is one coefficient.
+        entry of a `_ck_block_0` row is one coefficient.
         """
         dim, P, chars = self.basis.dim, self.basis.pair_count, self.chars
         if not (
@@ -504,50 +504,38 @@ def _ck_skeleton(basis: CKBasis) -> _CKSkeleton:
     return skeleton
 
 
-class _CKBlock0:
+@functools.lru_cache(maxsize=64)
+def _ck_block_0(skeleton: _CKSkeleton) -> tuple:
     """Block 0 of the cocycle system of su_omega / u_omega at one (N, family), omega left open.
 
-    Its columns are the skeleton's `block_pairs`.  `rows` are its cocycle
-    rows, in lexicographic triple order, each as two tuples of ints: the
-    columns and the codes of their entries.  They come from `_cyclic_rows`
-    over the skeleton's bracket index with the slots in place of the
-    coefficients, the walk `cohomology.cocycle_system` makes over any other
-    table; a code negates as a coefficient does.  `_CKSkeleton.check` keeps
-    the terms of that walk apart, so each entry is one coefficient
-    +-C_pq^k, and two rows with the same columns and codes fill to equal
-    rows at every omega.  The elimination skips a row equal to an earlier
+    Made on first use.  Its columns are the skeleton's `block_pairs`; it is
+    the tuple of its cocycle rows, in lexicographic triple order, each as
+    two tuples of ints: the columns and the codes of their entries.  They
+    come from `_cyclic_rows` over the skeleton's bracket index with the
+    slots in place of the coefficients, the walk `cohomology.cocycle_system`
+    makes over any other table; a code negates as a coefficient does.
+    `_CKSkeleton.check` keeps the terms of that walk apart, so each entry is
+    one coefficient +-C_pq^k, and two rows with the same columns and codes
+    fill to equal rows at every omega.  The elimination skips a row equal to an earlier
     one (`sparse._build_echelon`), so each is kept once.
     """
-
-    __slots__ = ("rows",)
-
-    def __init__(self, skeleton: _CKSkeleton):
-        into = {}  # the bracket index by target, with the slot for C_pq^k
-        for (p, q), targets, slot in zip(skeleton.pairs, skeleton.targets, skeleton.slots):
-            for k in targets:
-                into.setdefault(k, []).append((p, q, slot))
-        rows = _cyclic_rows(into, skeleton.block_pairs, skeleton.basis.dim)
-        del into  # so that what the walk drops from its copy is freed
-        rows = dict.fromkeys((tuple(row), tuple(row.values())) for row in rows)
-        object.__setattr__(self, "rows", tuple(rows))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("_CKBlock0 is immutable")
-
-    def fill(self, values: list) -> list:
-        """The rows at the code values of `_CKSkeleton.fill`, less zero entries and empty rows."""
-        out = []
-        for cols, codes in self.rows:
-            row = {c: v for c, k in zip(cols, codes) if (v := values[k])}
-            if row:
-                out.append(row)
-        return out
+    into = {}  # the bracket index by target, with the slot for C_pq^k
+    for (p, q), targets, slot in zip(skeleton.pairs, skeleton.targets, skeleton.slots):
+        for k in targets:
+            into.setdefault(k, []).append((p, q, slot))
+    rows = _cyclic_rows(into, skeleton.block_pairs, skeleton.basis.dim)
+    del into  # so that what the walk drops from its copy is freed
+    return tuple(dict.fromkeys((tuple(row), tuple(row.values())) for row in rows))
 
 
-@functools.lru_cache(maxsize=64)
-def _ck_block_0(skeleton: _CKSkeleton) -> _CKBlock0:
-    """Block 0 of the cocycle system the library shares for a skeleton, made on first use."""
-    return _CKBlock0(skeleton)
+def _fill_rows(coded: tuple, values: list) -> list:
+    """Block-0 rows at the code values of `_CKSkeleton.fill`, less zero entries and empty rows."""
+    out = []
+    for cols, codes in coded:
+        row = {c: v for c, k in zip(cols, codes) if (v := values[k])}
+        if row:
+            out.append(row)
+    return out
 
 
 def _ck_structure(basis: CKBasis, omega: OmegaVector) -> dict:
@@ -556,9 +544,7 @@ def _ck_structure(basis: CKBasis, omega: OmegaVector) -> dict:
 
 
 def _build_ck(N: int, omega, family: str) -> LieAlgebra:
-    omega = OmegaVector(omega)
-    if omega.n != N:
-        raise ValueError(f"omega has {omega.n} entries, expected N={N}")
+    omega = _of_length(N, omega)
     skeleton = _ck_skeleton(_basis(N, family))
     constants, into, values = skeleton.fill(omega)
     algebra = object.__new__(LieAlgebra)

@@ -75,6 +75,7 @@ from .algebra import (
     _ck_block_0,
     _cyclic_max,
     _cyclic_rows,
+    _fill_rows,
     jacobi_residual,
 )
 from .cochains import OneCochain, TwoCochain, pair_list
@@ -95,13 +96,13 @@ def cocycle_system(algebra: LieAlgebra, pairs=None) -> SparseMatrix:
 
     For an algebra a builder filled from a skeleton, and the block-0 pairs
     of that skeleton (`_CKSkeleton.block_pairs`, which `h2` passes), the
-    rows are the skeleton's block-0 rows filled at the algebra's code
-    values: the same rows, less each row equal to an earlier one.  Any
+    rows are `_ck_block_0` filled at the algebra's code values by
+    `_fill_rows`: the same rows, less each row equal to an earlier one.  Any
     other pair list is walked, and the block's rows are not made for it.
     """
     skeleton = algebra._skeleton
     if skeleton is not None and pairs is skeleton.block_pairs:
-        rows = _ck_block_0(skeleton).fill(algebra._slot_values)
+        rows = _fill_rows(_ck_block_0(skeleton), algebra._slot_values)
     else:
         if pairs is None:
             pairs = pair_list(algebra.dim)
@@ -263,14 +264,10 @@ def are_coboundaries(algebra: LieAlgebra, cochains, assume_cocycle: bool = False
         for xi in cochains:
             if cocycle_defect(algebra, xi) != 0:
                 raise NotACocycleError("a cochain is not a two-cocycle")
-    chars = algebra._chars
+    chars = algebra._chars or (0,) * algebra.dim  # a table without characters is one block
     rows = {pair for xi in cochains for pair in xi.entries}
-    if chars is None:  # one block, of character 0
-        if rows:
-            rows.update(algebra.constants)
-    else:
-        touched = {chars[i] ^ chars[j] for i, j in rows}
-        rows.update(p for p in algebra.constants if chars[p[0]] ^ chars[p[1]] in touched)
+    touched = {chars[i] ^ chars[j] for i, j in rows}
+    rows.update(p for p in algebra.constants if chars[p[0]] ^ chars[p[1]] in touched)
     pairs = sorted(rows)
     row_of = {pair: n for n, pair in enumerate(pairs)}
     matrix = coboundary_matrix(algebra, pairs)

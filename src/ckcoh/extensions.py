@@ -46,7 +46,7 @@ from .cohomology import (
     h2,
 )
 from .generators import CKBasis, _basis, check_family, delta_selector
-from .omega import OmegaVector
+from .omega import OmegaVector, _of_length
 from .rationals import _reader, format_rational, parse_rational, ratio
 
 
@@ -74,6 +74,14 @@ _FIELDS = (("eta", "η"), ("tau", "τ"), ("alpha", "α"), ("beta", "β"), ("gamm
 
 def _key_text(key, sep: str) -> str:
     return sep.join(map(str, key)) if isinstance(key, tuple) else str(key)
+
+
+_SYMBOLS = dict(_FIELDS)
+
+
+def _label(name: str, key) -> str:
+    """The label of one basic coefficient, e.g. α_2 or β_13."""
+    return f"{_SYMBOLS[name]}_{_key_text(key, '')}"
 
 
 @dataclass(frozen=True)
@@ -125,8 +133,8 @@ class BasicCoefficients:
     def describe(self) -> str:
         """All nonzero coefficients (Type I included) as `name=value` text."""
         parts = [
-            f"{symbol}_{_key_text(key, '')}={format_rational(v)}"
-            for name, symbol in _FIELDS
+            f"{_label(name, key)}={format_rational(v)}"
+            for name, _ in _FIELDS
             for key, v in sorted(getattr(self, name).items())
         ]
         return " ".join(parts) if parts else "0"
@@ -173,24 +181,22 @@ class ExtensionClassification:
         return len(self.type3_beta_allowed) + len(self.type3_gamma_allowed)
 
     def labels(self) -> list[str]:
-        out = [f"α_{k}" for k in self.type2_nontrivial]
-        out += [f"β_{k}{l}" for k, l in self.type3_beta_allowed]
-        out += [f"γ_{k}" for k in self.type3_gamma_allowed]
+        out = [_label("alpha", k) for k in self.type2_nontrivial]
+        out += [_label("beta", key) for key in self.type3_beta_allowed]
+        out += [_label("gamma", k) for k in self.type3_gamma_allowed]
         return out
 
 
-def dim_h2_formula(family: str, omega: OmegaVector) -> int:
+def dim_h2_formula(family: str, omega) -> int:
     """n(n+1)/2 for su, n(n+3)/2 for u, with n the number of vanishing omegas."""
     check_family(family)
-    n = omega.n_zero
+    n = OmegaVector(omega).n_zero
     return n * (n + 1) // 2 if family == "su" else n * (n + 3) // 2
 
 
 def classify(family: str, N: int, omega) -> ExtensionClassification:
     """Which extension coefficients are non-trivial for this omega vector."""
-    omega = OmegaVector(omega)
-    if omega.n != N:
-        raise ValueError(f"omega has {omega.n} entries, expected N={N}")
+    omega = _of_length(N, omega)
     check_family(family)
     zeros = omega.zero_set
     beta_allowed = tuple(
@@ -210,9 +216,7 @@ def classify(family: str, N: int, omega) -> ExtensionClassification:
 
 def extension_cocycle(family: str, N: int, omega, coeffs: BasicCoefficients) -> TwoCochain:
     """The two-cocycle a set of basic coefficients determines (`_write_cocycle`)."""
-    omega = OmegaVector(omega)
-    if omega.n != N:
-        raise ValueError(f"omega has {omega.n} entries, expected N={N}")
+    omega = _of_length(N, omega)
     coeffs.validate(family, omega)
     basis = _basis(N, family)
     table = _ck_structure(basis, omega) if coeffs.eta or coeffs.tau else None
@@ -326,13 +330,12 @@ def appendix_violations(algebra: LieAlgebra, xi: TwoCochain) -> list[str]:
         coeffs.validate(algebra.family, omega)
     except ConstraintViolation as exc:
         return [str(exc)]
-    entries = _write_cocycle(algebra.ck_basis(), omega, coeffs, algebra.constants)
-    rebuilt = TwoCochain(algebra.dim, entries)
-    name = algebra.name
+    rebuilt = _write_cocycle(algebra.ck_basis(), omega, coeffs, algebra.constants)
+    name, got = algebra.name, xi.entries
     return [
-        f"xi({name(i)},{name(k)}): got {format_rational(xi.get(i, k))}, "
-        f"expected {format_rational(rebuilt.get(i, k))}"
-        for i, k in sorted((xi - rebuilt).entries)
+        f"xi({name(i)},{name(k)}): got {format_rational(g)}, expected {format_rational(e)}"
+        for i, k in sorted(got.keys() | rebuilt.keys())
+        if (g := got.get((i, k), 0)) != (e := rebuilt.get((i, k), 0))
     ]
 
 
@@ -403,11 +406,11 @@ class ContractionReport:
         if self.already_zero:
             out.append("omega_k already zero: no change")
         else:
-            out.append(f"α_{self.k}: trivial -> non-trivial")
-            for k, l in self.new_beta:
-                out.append(f"β_{k}{l}: now allowed (non-trivial)")
+            out.append(f"{_label('alpha', self.k)}: trivial -> non-trivial")
+            for key in self.new_beta:
+                out.append(f"{_label('beta', key)}: now allowed (non-trivial)")
             if self.new_gamma is not None:
-                out.append(f"γ_{self.new_gamma}: now allowed (non-trivial)")
+                out.append(f"{_label('gamma', self.new_gamma)}: now allowed (non-trivial)")
         out.append(f"dim H2: {self.dim_before} -> {self.dim_after}")
         return out
 
@@ -488,15 +491,15 @@ def verify_theorem(
     algebra = build(N, omega)
     result = h2(algebra, representatives=representatives)
     canonical = [
-        (f"α_{k}", BasicCoefficients(alpha={k: 1}), k not in cls.type2_nontrivial)
+        (_label("alpha", k), BasicCoefficients(alpha={k: 1}), k not in cls.type2_nontrivial)
         for k in range(1, N + 1)
     ]
     canonical += [
-        (f"β_{k}{l}", BasicCoefficients(beta={(k, l): 1}), False)
-        for k, l in cls.type3_beta_allowed
+        (_label("beta", key), BasicCoefficients(beta={key: 1}), False)
+        for key in cls.type3_beta_allowed
     ]
     canonical += [
-        (f"γ_{k}", BasicCoefficients(gamma={k: 1}), False)
+        (_label("gamma", k), BasicCoefficients(gamma={k: 1}), False)
         for k in cls.type3_gamma_allowed
     ]
     cocycles = [extension_cocycle(family, N, omega, coeffs) for _, coeffs, _ in canonical]

@@ -124,6 +124,14 @@ class OmegaVector:
         return ",".join(format_rational(v) for v in self.values)
 
 
+def _of_length(N: int, omega) -> OmegaVector:
+    """omega as an OmegaVector, checked to have N entries."""
+    omega = OmegaVector(omega)
+    if omega.n != N:
+        raise ValueError(f"omega has {omega.n} entries, expected N={N}")
+    return omega
+
+
 def sign_vectors(n: int):
     """All {+1, 0, -1}^n vectors as OmegaVectors, lexicographic in (1, 0, -1)."""
     if n == 0:

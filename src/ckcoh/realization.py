@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from .algebra import LieAlgebra
 from .generators import _basis
-from .omega import OmegaVector
+from .omega import _of_length
 from .rationals import format_rational, ratio
 
 
@@ -125,7 +125,7 @@ def _combination(size, terms) -> ComplexMatrix:
 
 def fundamental_matrices(N: int, omega, family: str) -> list[ComplexMatrix]:
     """Realized generators in canonical order, (N+1)x(N+1) each."""
-    omega = OmegaVector(omega)
+    omega = _of_length(N, omega)
     pairs = list(_basis(N, family).index_pairs())
     n, w = N + 1, omega.product
     mats = [ComplexMatrix(n, {(a, b): (-w(a, b), 0), (b, a): (1, 0)}) for a, b in pairs]
@@ -138,7 +138,7 @@ def fundamental_matrices(N: int, omega, family: str) -> list[ComplexMatrix]:
 
 def metric_matrix(N: int, omega) -> ComplexMatrix:
     """I_w = diag(1, w_01, w_02, ..., w_0N)."""
-    omega = OmegaVector(omega)
+    omega = _of_length(N, omega)
     return ComplexMatrix(N + 1, {(r, r): (omega.product(0, r), 0) for r in range(N + 1)})
 
 

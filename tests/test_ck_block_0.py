@@ -109,9 +109,10 @@ def test_block_0_from_the_skeleton_matches_the_walk(family):
 
 def test_block_0_is_made_once_per_skeleton_and_keeps_each_row_once():
     zero = _ck_block_0(_build_ck(6, [1] * 6, "su")._skeleton)
-    assert len(set(zero.rows)) == len(zero.rows) == 155
+    assert type(zero) is tuple
+    assert len(set(zero)) == len(zero) == 155
     assert _ck_block_0(_build_ck(6, [0] * 6, "su")._skeleton) is zero
-    assert all(len(cols) == len(codes) for cols, codes in zero.rows)
+    assert all(len(cols) == len(codes) for cols, codes in zero)
 
 
 def test_a_pair_list_other_than_the_block_is_walked_without_making_the_block():

@@ -190,7 +190,7 @@ def _meetings(skeleton) -> int:
 
 
 def test_block_0_refuses_two_terms_in_one_entry():
-    # `_CKBlock0` reads each entry of a walked row as one coefficient; the
+    # `_ck_block_0` reads each entry of a walked row as one coefficient; the
     # check refuses both faults that make two terms meet.  A repeated target
     # of [J_02, M_02] meets itself in the column (B_1, B_2); [J_ab, B_l] along
     # J_ab meets [M_ab, B_l] along M_ab in the column (J_ab, M_ab).

@@ -65,6 +65,11 @@ def test_dim_formula_values():
     assert dim_h2_formula("u", OmegaVector([0, 0, 0])) == 9
 
 
+def test_dim_formula_takes_plain_values():
+    assert dim_h2_formula("su", [0, 0]) == 3
+    assert dim_h2_formula("u", (0, 1)) == 2
+
+
 def test_build_extended_qc_equation():
     # su_{0,w2}(3) with alpha_1: [J01,M01] = a1 Xi, [J02,M02] = w2 a1 Xi,
     # [J12,M12] = -2 w2 B2, [B1,B2] = 0
@@ -387,6 +392,15 @@ def test_verify_theorem_small_cases():
             rep = verify_theorem(fam, len(vals), vals)
             assert rep.ok, (fam, vals)
             assert rep.result.dim_H2 == rep.formula
+
+
+@pytest.mark.parametrize("family", ["su", "u"])
+def test_verify_theorem_labels_its_non_trivial_checks_as_classify_does(family):
+    for n in range(1, 5):
+        for om in sign_vectors(n):
+            checks = verify_theorem(family, n, om).cocycle_checks
+            labels = [check.label for check in checks if not check.expect_trivial]
+            assert labels == classify(family, n, om).labels(), om
 
 
 def test_table_rows_su3_paper_content():

@@ -20,6 +20,7 @@ from ckcoh.extensions import (
 from ckcoh.generators import CKBasis
 from ckcoh.omega import OmegaVector
 from ckcoh.rationals import ratio
+from ckcoh.realization import fundamental_matrices, metric_matrix
 from ckcoh.sparse import SparseMatrix, solve_many
 from ckcoh.structure import (
     SignedPermutation,
@@ -88,6 +89,16 @@ CASES = {
         "omega has 2 entries, expected N=3",
     ),
     "cocycle-length": (_cocycle("su", 3, [1, 1]), ValueError, "omega has 2 entries, expected N=3"),
+    "matrices-length": (
+        lambda: fundamental_matrices(2, [1, 0, 5], "su"),
+        ValueError,
+        "omega has 3 entries, expected N=2",
+    ),
+    "metric-length": (
+        lambda: metric_matrix(2, [1, 0, 5]),
+        ValueError,
+        "omega has 3 entries, expected N=2",
+    ),
     "violations-dim": (lambda: appendix_violations(SU2, TwoCochain(3)), ValueError, WRONG_DIM),
     "trivializing-index": (
         lambda: trivializing_cochain("su", [1, 1], {3: 1}),

@@ -12,14 +12,21 @@
 - a build, whose table now leaves zeros and pair checks to `LieAlgebra`,
   gives the same constants, bracket index and characters, key order
   included, and `extension_cocycle` the same cochain as over the old table.
+
+Two rules are pinned in the text of the package: the omega length message is
+written once (`omega._of_length`), and only `extensions._label` writes an
+alpha, beta or gamma label.
 """
 
 import random
+import re
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
+import ckcoh
 import ckcoh.extensions
 from ckcoh.algebra import LieAlgebra, build_su_omega, build_u_omega
 from ckcoh.extensions import BasicCoefficients, contract, extension_cocycle
@@ -32,6 +39,9 @@ from random_algebras import random_algebra
 
 RATIONAL = ("2/3,-1", "0,-1/2,0", "-2/3,1,5/2", "0,3/4,0,-2", "1/2,-3,2/5,7")
 BUILD = {"su": build_su_omega, "u": build_u_omega}
+
+
+SOURCES = sorted(Path(ckcoh.__file__).parent.glob("*.py"))
 
 
 def _omegas(max_n, rational=True):
@@ -139,3 +149,24 @@ def test_extension_cocycle_matches_the_one_over_the_old_table(monkeypatch):
     assert sum(bool(c[3].eta or c[3].tau) for c in cases) > 80
     for case, xi, old in zip(cases, got, want):
         assert list(xi.entries.items()) == list(old.entries.items()), case[:3]
+
+
+def _matches(pattern):
+    return [
+        (path.name, match.group())
+        for path in SOURCES
+        for match in re.finditer(pattern, path.read_text(encoding="utf-8"))
+    ]
+
+
+def test_the_omega_length_message_is_written_once():
+    # `cli._parse_omega` has its own "omega list has ..." message
+    assert _matches(r"omega has \{[^}]*\} entries, expected N=") == [
+        ("omega.py", "omega has {omega.n} entries, expected N=")
+    ]
+
+
+def test_no_f_string_but_the_label_helper_writes_a_coefficient_label():
+    assert len(SOURCES) > 10
+    assert _matches(r"\bf[\"'][αβγ]_") == []
+    assert _matches(r"def _label\(") == [("extensions.py", "def _label(")]
