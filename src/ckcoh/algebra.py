@@ -529,10 +529,18 @@ def _ck_block_0(skeleton: _CKSkeleton) -> tuple:
 
 
 def _fill_rows(coded: tuple, values: list) -> list:
-    """Block-0 rows at the code values of `_CKSkeleton.fill`, less zero entries and empty rows."""
+    """Block-0 rows at the code values of `_CKSkeleton.fill`, less zero entries and empty rows.
+
+    A plain loop: a comprehension per row would cost a call frame for each
+    coded row, and at a contracted omega most of them fill to empty.
+    """
     out = []
     for cols, codes in coded:
-        row = {c: v for c, k in zip(cols, codes) if (v := values[k])}
+        row = {}
+        for c, k in zip(cols, codes):
+            v = values[k]
+            if v:
+                row[c] = v
         if row:
             out.append(row)
     return out

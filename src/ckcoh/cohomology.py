@@ -32,6 +32,13 @@ The coboundary matrix is block-diagonal by character too: delta(e_k) lies
 only on pairs of character chi_k.  So `are_coboundaries` solves only the
 blocks its cochains touch: on every other block the right-hand side is zero
 and mu = 0 there, which is what the whole solve gives, key order included.
+It finds the brackets of those blocks in the bracket index, under the
+targets of a touched character.  That rests on the character rule
+`_CKSkeleton.check` enforces: the first target of [X_p, X_q] has the
+character chi_p ^ chi_q, and a bracket with several targets has character 0
+on all of them, so every target of a bracket carries its pair's character.
+A table without characters reads as all character 0, so there every bracket
+is found.
 
 For the same reason `h2` eliminates block 0 alone.  Its pairs come from the
 generators grouped by character, and its coboundary image is the delta(e_k)
@@ -256,7 +263,10 @@ def are_coboundaries(algebra: LieAlgebra, cochains, assume_cocycle: bool = False
     Of those, a pair with no bracket is kept only when a cochain has an entry
     on it (its row is then the inconsistent 0 = xi_ij).  Every other block
     has a zero right-hand side and mu = 0 on its generators, which is what
-    the whole solve gives there, so the result is the same.
+    the whole solve gives there, so the result is the same.  The brackets
+    of a touched character are read from the bracket index: each is filed
+    under a target of its own character (`_CKSkeleton.check`), so the cost
+    follows the touched blocks, not the whole table.
     """
     if any(xi.dim != algebra.dim for xi in cochains):
         raise ValueError("cochain dimension does not match the algebra")
@@ -267,7 +277,11 @@ def are_coboundaries(algebra: LieAlgebra, cochains, assume_cocycle: bool = False
     chars = algebra._chars or (0,) * algebra.dim  # a table without characters is one block
     rows = {pair for xi in cochains for pair in xi.entries}
     touched = {chars[i] ^ chars[j] for i, j in rows}
-    rows.update(p for p in algebra.constants if chars[p[0]] ^ chars[p[1]] in touched)
+    for k, brackets in algebra._into.items():
+        # every target of [X_p, X_q] has its character chi_p ^ chi_q
+        if chars[k] in touched:
+            for p, q, _ in brackets:
+                rows.add((p, q))
     pairs = sorted(rows)
     row_of = {pair: n for n, pair in enumerate(pairs)}
     matrix = coboundary_matrix(algebra, pairs)

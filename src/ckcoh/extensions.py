@@ -58,15 +58,6 @@ class EngineInvariantError(RuntimeError):
     """A derived cocycle relation failed: an engine bug, not a user error."""
 
 
-def _clean(table) -> dict:
-    out = {}
-    for key, v in (table or {}).items():
-        v = ratio(v)
-        if v:
-            out[key] = v
-    return out
-
-
 # Field and symbol of each kind of basic coefficient, in listing order;
 # alpha and gamma are keyed by k, the others by a pair.
 _FIELDS = (("eta", "η"), ("tau", "τ"), ("alpha", "α"), ("beta", "β"), ("gamma", "γ"))
@@ -98,9 +89,14 @@ class BasicCoefficients:
     gamma: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        fields = self.__dict__  # frozen: set in place of `object.__setattr__`
         for name, _ in _FIELDS:
-            table = getattr(self, name)
-            object.__setattr__(self, name, _clean(table) if table else {})
+            clean = {}
+            if table := fields[name]:
+                for key, v in table.items():
+                    if v := ratio(v):
+                        clean[key] = v
+            fields[name] = clean
 
     def validate(self, family: str, omega: OmegaVector):
         """Index ranges plus the Type III constraints; raises on violation."""
@@ -230,30 +226,46 @@ def _write_cocycle(basis: CKBasis, omega: OmegaVector, coeffs: BasicCoefficients
     eta_ab, mu(M_ab) = tau_ab over `table`, the bracket table of su/u_omega
     on `basis` (read only when eta or tau is nonzero).  Alpha enters through
     [J_ac, M_ac] with the omega(a,s-1) omega(s,c) weights, beta/gamma sit on
-    the B-B and B-I pairs.
+    the B-B and B-I pairs.  The weights of alpha_s are running products:
+    omega(s,c) as c rises from s and omega(a,s-1) as a falls from s-1, each
+    zero from its first zero factor on.  So only the pairs of nonzero weight
+    are written, a ascending, then c, in the order of a walk over all pairs.
     """
     J, P, b = basis._j, basis.pair_count, basis.b
     mu = {J[pair]: v for pair, v in coeffs.eta.items()}
     mu.update({P + J[pair]: v for pair, v in coeffs.tau.items()})
     entries = _coboundary(table, mu) if mu else {}
-    w = omega.product
+    values = omega.values
 
     def put(i, jj, value):
         if value:
             entries[(i, jj)] = entries.get((i, jj), 0) + value
 
     for s, al in coeffs.alpha.items():
-        right = [(bb, w(s, bb)) for bb in range(s, basis.N + 1)]
-        for a in range(s):
-            w_left = w(a, s - 1)
-            for bb, w_right in right:
-                k = J[a, bb]
-                put(k, P + k, w_left * w_right * al)
+        # w(s, s + m) for m = 0, 1, ... and w(s - 1 - m, s - 1), up to the first zero
+        right = _running_products(values[s:])
+        left = _running_products(reversed(values[: s - 1]))
+        for a in range(s - len(left), s):
+            w_left = left[s - 1 - a]
+            for m, w_right in enumerate(right):
+                k = J[a, s + m]
+                entries[k, P + k] = entries.get((k, P + k), 0) + w_left * w_right * al
     for (k, l), v in coeffs.beta.items():
         put(b(k), b(l), v)
     for k, v in coeffs.gamma.items():  # validated: empty outside the u family
         put(b(k), basis.i(), v)
     return entries
+
+
+def _running_products(factors) -> list:
+    """1, f_1, f_1 f_2, ... over `factors`, each normalised by `ratio`, up to the first zero."""
+    out, prod = [1], 1
+    for f in factors:
+        prod = ratio(prod * f)
+        if not prod:
+            break
+        out.append(prod)
+    return out
 
 
 def build_extended(family: str, N: int, omega, coeffs: BasicCoefficients) -> LieAlgebra:
@@ -301,14 +313,18 @@ def _read_basic(algebra: LieAlgebra, xi: TwoCochain) -> BasicCoefficients:
     Nothing is checked here.
     """
     readings = _readings(algebra.ck_basis())
-    fields = {name: {} for name, _ in _FIELDS}
+    fields = {}  # only the fields a reading holds are made and sorted
     for pair, v in xi.entries.items():
         if reading := readings.get(pair):
             name, key, scale = reading
-            fields[name][key] = v * scale
-    return BasicCoefficients(
-        **{name: dict(sorted(table.items())) for name, table in fields.items() if table}
-    )
+            table = fields.get(name)
+            if table is None:
+                fields[name] = table = {}
+            table[key] = v * scale
+    for name, table in fields.items():
+        if len(table) > 1:
+            fields[name] = dict(sorted(table.items()))
+    return BasicCoefficients(**fields)
 
 
 def appendix_violations(algebra: LieAlgebra, xi: TwoCochain) -> list[str]:

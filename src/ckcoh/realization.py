@@ -148,10 +148,32 @@ def isometry_defect(mat: ComplexMatrix, metric: ComplexMatrix) -> ComplexMatrix:
 
 
 def representation_defects(algebra: LieAlgebra, mats: list[ComplexMatrix]):
-    """Pairs (i, j) where [rho(X_i), rho(X_j)] != sum_k C_ij^k rho(X_k)."""
+    """Pairs (i, j) where [rho(X_i), rho(X_j)] != sum_k C_ij^k rho(X_k), i < j ascending.
+
+    Only the pairs with a bracket, or whose product X_i X_j or X_j X_i can be
+    nonempty, are checked: the generators are indexed by the rows and the
+    columns their entries touch, and X_i X_j meets an entry only where a
+    column of X_i is a row of X_j.  Every other pair has a zero commutator
+    and a zero bracket, so it is no defect.
+    """
+    dim = algebra.dim
+    by_row, by_col = {}, {}
+    for n in range(dim):
+        for r, c in mats[n].entries:
+            by_row.setdefault(r, set()).add(n)
+            by_col.setdefault(c, set()).add(n)
+    partners = [set() for _ in range(dim)]
+    for i, j in algebra.constants:
+        partners[i].add(j)
     bad = []
-    for i in range(algebra.dim):
-        for j in range(i + 1, algebra.dim):
+    for i in range(dim):
+        near = partners[i]
+        for r, c in mats[i].entries:
+            near.update(by_row.get(c, ()))
+            near.update(by_col.get(r, ()))
+        for j in sorted(near):
+            if j <= i:
+                continue
             terms = [(1, mats[i] @ mats[j]), (-1, mats[j] @ mats[i])]
             terms += [(-c, mats[k]) for k, c in algebra.bracket(i, j)]
             if not _combination(mats[i].size, terms).is_zero():

@@ -286,13 +286,19 @@ def nullspace(matrix: SparseMatrix, max_rank=None) -> list[dict]:
 
     Vector for free column f has a positive entry at f and zeroes at every
     other free column.  `max_rank` is a bound on the rank (see `_build_echelon`).
+    A free column that no pivot row holds (absent from `uses`) gets {f: 1}
+    directly: back-substitution would visit no pivot and return just that.
     """
     ech = _build_echelon(matrix, max_rank=max_rank)
+    pivot_cols, uses = ech.pivot_cols, ech.uses
     basis = []
     for free in range(matrix.cols):
-        if free in ech.pivot_cols:
+        if free in pivot_cols:
             continue
-        basis.append(_integer_row(ech.back_substitute({free: Fraction(1)})))
+        if free in uses:
+            basis.append(_integer_row(ech.back_substitute({free: Fraction(1)})))
+        else:
+            basis.append({free: 1})
     return basis
 
 
@@ -301,14 +307,18 @@ def solve_many(matrix: SparseMatrix, rhs_list) -> list:
 
     Each rhs is a dict {row: value}.  Returns one dict per rhs (free columns
     set to zero) or None where the system is inconsistent.  All right-hand
-    sides ride along the single elimination as extra columns.
+    sides ride along the single elimination as extra columns.  A leftover
+    holds no column below `cols` (else it would be a pivot) and only nonzero
+    entries, so the right-hand sides it holds are inconsistent: their columns
+    are collected in one pass over the leftovers.
     """
     cols = matrix.cols
     ech = _build_echelon(matrix, rhs_list)
+    inconsistent = set().union(*ech.leftovers)
     solutions = []
     for t in range(len(rhs_list)):
         aug = cols + t
-        if any(row.get(aug) for row in ech.leftovers):
+        if aug in inconsistent:
             solutions.append(None)
             continue
         # row . x = rhs is row . (x, -1) = 0 over the right-hand side's column

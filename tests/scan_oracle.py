@@ -7,6 +7,14 @@ evaluate the cyclic sum on every one of the C(r,3) generator triples with
 three `bracket` reads each.  These are the plain full walks; the library's
 pivot-, use- and entry-indexed versions must give the same results, so the
 tests compare them exactly.
+
+The loops that the lookups between the block-0 kernel and the payload
+replaced are kept here as they were: `scan_nullspace` back-substitutes
+every free column, `scan_solve_many` scans every leftover for each
+right-hand side, `scan_coboundary_pairs` tests every bracket of
+`constants` for a touched character, `scan_write_cocycle` takes each alpha
+weight from `OmegaVector.product`, `scan_read_basic` makes and sorts all
+five fields, and `scan_fill_rows` fills each row by a comprehension.
 """
 
 from fractions import Fraction
@@ -14,8 +22,10 @@ from itertools import combinations
 from math import gcd
 
 from ckcoh.cochains import pair_count
+from ckcoh.cohomology import _coboundary
+from ckcoh.extensions import _FIELDS, _readings
 from ckcoh.rationals import ratio
-from ckcoh.sparse import Echelon, SparseMatrix, _strip_gcd
+from ckcoh.sparse import Echelon, SparseMatrix, _build_echelon, _integer_row, _strip_gcd
 
 from pair_vectors import pair_index
 
@@ -119,3 +129,84 @@ def scan_jacobi_residual(algebra):
             if v and abs(v) > worst:
                 worst = abs(v)
     return ratio(worst)
+
+
+def scan_nullspace(matrix, max_rank=None):
+    """The kernel basis with every free column back-substituted."""
+    ech = _build_echelon(matrix, max_rank=max_rank)
+    return [
+        _integer_row(ech.back_substitute({free: Fraction(1)}))
+        for free in range(matrix.cols)
+        if free not in ech.pivot_cols
+    ]
+
+
+def scan_solve_many(matrix, rhs_list):
+    """`solve_many` with every leftover scanned for each right-hand side."""
+    cols = matrix.cols
+    ech = _build_echelon(matrix, rhs_list)
+    solutions = []
+    for t in range(len(rhs_list)):
+        aug = cols + t
+        if any(row.get(aug) for row in ech.leftovers):
+            solutions.append(None)
+            continue
+        x = ech.back_substitute({aug: -1})
+        solutions.append({c: ratio(v) for c, v in x.items() if v and c < cols})
+    return solutions
+
+
+def scan_coboundary_pairs(algebra, cochains):
+    """The rows `are_coboundaries` solves, by a test of every bracket of `constants`."""
+    chars = algebra._chars or (0,) * algebra.dim
+    rows = {pair for xi in cochains for pair in xi.entries}
+    touched = {chars[i] ^ chars[j] for i, j in rows}
+    rows.update(p for p in algebra.constants if chars[p[0]] ^ chars[p[1]] in touched)
+    return sorted(rows)
+
+
+def scan_write_cocycle(basis, omega, coeffs, table):
+    """`_write_cocycle` with every alpha weight a fresh `omega.product`."""
+    J, P, b = basis._j, basis.pair_count, basis.b
+    mu = {J[pair]: v for pair, v in coeffs.eta.items()}
+    mu.update({P + J[pair]: v for pair, v in coeffs.tau.items()})
+    entries = _coboundary(table, mu) if mu else {}
+    w = omega.product
+
+    def put(i, jj, value):
+        if value:
+            entries[(i, jj)] = entries.get((i, jj), 0) + value
+
+    for s, al in coeffs.alpha.items():
+        right = [(bb, w(s, bb)) for bb in range(s, basis.N + 1)]
+        for a in range(s):
+            w_left = w(a, s - 1)
+            for bb, w_right in right:
+                k = J[a, bb]
+                put(k, P + k, w_left * w_right * al)
+    for (k, l), v in coeffs.beta.items():
+        put(b(k), b(l), v)
+    for k, v in coeffs.gamma.items():
+        put(b(k), basis.i(), v)
+    return entries
+
+
+def scan_read_basic(algebra, xi):
+    """The readings of a cochain, all five fields made and sorted."""
+    readings = _readings(algebra.ck_basis())
+    fields = {name: {} for name, _ in _FIELDS}
+    for pair, v in xi.entries.items():
+        if reading := readings.get(pair):
+            name, key, scale = reading
+            fields[name][key] = ratio(v * scale)
+    return {name: dict(sorted(table.items())) for name, table in fields.items()}
+
+
+def scan_fill_rows(coded, values):
+    """Block-0 rows filled at code values by a comprehension per row."""
+    out = []
+    for cols, codes in coded:
+        row = {c: v for c, k in zip(cols, codes) if (v := values[k])}
+        if row:
+            out.append(row)
+    return out

@@ -155,3 +155,29 @@ def test_representation_check_cost_follows_the_entries(monkeypatch):
     monkeypatch.setattr(ckcoh.realization, "ratio", counting_ratio)
     assert representation_defects(g, mats) == []
     assert calls <= 20_000
+
+
+@pytest.mark.parametrize(
+    "family, build, omega",
+    [
+        ("su", build_su_omega, RATIONAL_OMEGA),
+        ("u", build_u_omega, OmegaVector([1, 0, -1])),
+        ("su", build_su_omega, OmegaVector([0, 1, 0, -1])),
+    ],
+    ids=["su-2-rational", "u-3-p0m", "su-4-0p0m"],
+)
+def test_a_defect_on_a_pair_with_empty_products_is_reported(family, build, omega):
+    # rho(X_0) zeroed: both products with X_0 are empty, but its brackets are not
+    n = omega.n
+    g = build(n, omega)
+    mats = fundamental_matrices(n, omega, family)
+    mats[0] = ComplexMatrix(n + 1)
+    defects, _ = _assert_paths_agree(g, mats, metric_matrix(n, omega))
+    empty_but_bracketed = [
+        (i, j)
+        for i, j in defects
+        if (mats[i] @ mats[j]).is_zero() and (mats[j] @ mats[i]).is_zero() and g.bracket(i, j)
+    ]
+    assert empty_but_bracketed
+    # X_0 is also a bracket target, which the pairs with nonempty products report
+    assert any(0 not in pair for pair in defects)
