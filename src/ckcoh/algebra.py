@@ -45,20 +45,18 @@ it out changes no echelon: the equal row fills to an equal row at every
 omega, and the elimination skips a copy of a row it has reduced, since that
 copy would reduce to zero.  An algebra the builders make holds its skeleton
 and code values, so `_fill_rows` fills the block at its omega with one
-lookup per entry; a table read or made by hand holds neither, nor any sign
-characters, and is walked as it is.
+lookup per entry; a table made directly with `LieAlgebra` holds neither,
+nor any sign characters, and is walked as it is.
 """
 
 from __future__ import annotations
 
 import functools
-import json
 from itertools import combinations
-from math import comb
 
-from .generators import CKBasis, _basis, _generator_name, check_family, delta_selector
+from .generators import CKBasis, _basis, delta_selector
 from .omega import OmegaVector, _of_length
-from .rationals import Scalar, _lines, _reader, format_rational, parse_rational, ratio
+from .rationals import Scalar, format_rational, ratio
 
 
 class LieAlgebra:
@@ -68,9 +66,9 @@ class LieAlgebra:
     (k -> [(p, q, C_pq^k)] in table order).  When `_build_ck` filled the
     table from a skeleton, `_skeleton` is that skeleton, `_slot_values` its
     code values at omega and `_chars` its sign characters; any other table
-    holds None in all three, so it is one block of character 0 and holds
-    nothing per generator that its input does not: `name` works out the
-    names of a table read under a CK header.
+    holds None in all three, so it is one block of character 0, whatever
+    `family` and `omega` it is given.  `names`, when given, names every
+    generator; without it, `name` gives `X_i`.
     """
 
     __slots__ = (
@@ -112,6 +110,8 @@ class LieAlgebra:
                 for k, c in cleaned:
                     into.setdefault(k, []).append((i, j, c))
         names = tuple(names) if names else None
+        if names and len(names) != dim:
+            raise ValueError(f"names has {len(names)} entries, expected {dim}")
         _set_facts(self, dim, table, family, omega, names, into, None, None, None)
 
     def __setattr__(self, name, value):
@@ -141,11 +141,8 @@ class LieAlgebra:
         return tuple((k, -c) for k, c in self.constants.get((j, i), ()))
 
     def name(self, i: int) -> str:
-        if self.names:
-            if 0 <= i < len(self.names):
-                return self.names[i]
-        elif self.is_ck() and 0 <= i < self.dim:
-            return _generator_name(self.omega.n, i)
+        if self.names and 0 <= i < self.dim:
+            return self.names[i]
         return f"X_{i}"
 
     def is_ck(self) -> bool:
@@ -171,31 +168,6 @@ class LieAlgebra:
                 lines.append(f"{i} {j} {k} {format_rational(c)}")
         return "\n".join(lines) + "\n"
 
-    @classmethod
-    @_reader
-    def from_text(cls, text: str) -> "LieAlgebra":
-        rows = _lines(text)
-        if not rows:
-            raise ValueError("empty algebra file")
-        head = rows[0].split()
-        dim = int(head[0])
-        family = omega = None
-        if len(head) >= 3 and head[2] != "-":
-            family = check_family(head[2])
-            n = int(head[1])
-            vals = [parse_rational(t) for t in head[3:]]
-            if len(vals) != n:
-                raise ValueError(f"header says N={n} but {len(vals)} omega values")
-            omega = OmegaVector(vals)
-        table = {}
-        for line in rows[1:]:
-            toks = line.split()
-            if len(toks) != 4:
-                raise ValueError(f"bad constant line: {line!r}")
-            i, j, k = int(toks[0]), int(toks[1]), int(toks[2])
-            table.setdefault((i, j), []).append((k, parse_rational(toks[3])))
-        return _from_table(cls, dim, table, family, omega)
-
     def to_json_obj(self) -> dict:
         obj = {
             "dim": self.dim,
@@ -210,49 +182,11 @@ class LieAlgebra:
         }
         return obj
 
-    @classmethod
-    @_reader
-    def from_json_obj(cls, obj) -> "LieAlgebra":
-        family = obj.get("family")
-        omega = None
-        if family:
-            omega = OmegaVector([parse_rational(t) for t in obj["omega"]])
-        table = {}
-        for i, j, k, val in obj["constants"]:
-            table.setdefault((i, j), []).append((k, parse_rational(val)))
-        return _from_table(cls, obj["dim"], table, family, omega)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2, sort_keys=True) + "\n"
-
 
 def _set_facts(algebra, *values):
     """Set every slot of a new `LieAlgebra`, in `__slots__` order."""
     for name, value in zip(LieAlgebra.__slots__, values, strict=True):
         object.__setattr__(algebra, name, value)
-
-
-def _from_table(cls, dim: int, table: dict, family, omega) -> LieAlgebra:
-    """The algebra read; under a CK header, the builder's own when the tables agree.
-
-    The header's dim must fit the family and N.  Any other table under it gets
-    zero characters, so `h2` checks Jacobi and solves it whole.  The CK table
-    has the 4 unit brackets [J_ab,J_bc], [M_ab,M_bc], [J_ab,M_bc], [J_bc,M_ab]
-    for every a < b < c, so a shorter table is not rebuilt, and nothing per
-    declared generator is made for it: the dim is checked by its formula and
-    the names are worked out when asked for.  So the cost of a read follows
-    its input, not the N of its header.
-    """
-    if not family:
-        return cls(dim, table)
-    want = (omega.n + 1) ** 2 - (family == "su")
-    if dim != want:
-        raise ValueError(f"header says dim {dim} but {family} N={omega.n} has dim {want}")
-    read = cls(dim, table, family=family, omega=omega)
-    if len(read.constants) < 4 * comb(omega.n + 1, 3):
-        return read
-    built = _build_ck(omega.n, omega, family)
-    return built if read == built else read
 
 
 def _cyclic_terms(into: dict, a: int, b: int):

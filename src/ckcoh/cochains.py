@@ -5,9 +5,7 @@ A TwoCochain stores xi(X_i, X_j) only for i < j; reading (j, i) negates.
 
 from __future__ import annotations
 
-import json
-
-from .rationals import _lines, _reader, format_rational, parse_rational, ratio
+from .rationals import ratio
 
 
 def pair_count(dim: int) -> int:
@@ -73,45 +71,6 @@ class TwoCochain:
             table[k] = table.get(k, 0) - v
         return TwoCochain(self.dim, table)
 
-    def to_text(self) -> str:
-        lines = [f"dim {self.dim}"]
-        for (i, j) in sorted(self.entries):
-            lines.append(f"{i} {j} {format_rational(self.entries[(i, j)])}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    @_reader
-    def from_text(cls, text: str) -> "TwoCochain":
-        rows = _lines(text)
-        if not rows or not rows[0].startswith("dim "):
-            raise ValueError("cochain file must start with a `dim` line")
-        dim = int(rows[0].split()[1])
-        entries = {}
-        for line in rows[1:]:
-            i, j, v = line.split()
-            entries[(int(i), int(j))] = parse_rational(v)
-        return cls(dim, entries)
-
-    def to_json_obj(self) -> dict:
-        return {
-            "dim": self.dim,
-            "entries": [
-                [i, j, format_rational(self.entries[(i, j)])]
-                for (i, j) in sorted(self.entries)
-            ],
-        }
-
-    @classmethod
-    @_reader
-    def from_json_obj(cls, obj) -> "TwoCochain":
-        return cls(
-            obj["dim"],
-            {(i, j): parse_rational(v) for i, j, v in obj["entries"]},
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True) + "\n"
-
 
 class OneCochain:
     """Sparse linear functional mu on the generators."""
@@ -144,14 +103,3 @@ class OneCochain:
 
     def __repr__(self):
         return f"OneCochain(dim={self.dim}, nnz={len(self.mu)})"
-
-    def to_json_obj(self) -> dict:
-        return {
-            "dim": self.dim,
-            "mu": {str(i): format_rational(v) for i, v in sorted(self.mu.items())},
-        }
-
-    @classmethod
-    @_reader
-    def from_json_obj(cls, obj) -> "OneCochain":
-        return cls(obj["dim"], {int(i): parse_rational(v) for i, v in obj["mu"].items()})

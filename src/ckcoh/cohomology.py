@@ -170,7 +170,7 @@ def central_extension(algebra: LieAlgebra, xi: TwoCochain) -> LieAlgebra:
     for (i, j), v in xi.entries.items():
         table.setdefault((i, j), []).append((r, v))
     names = None
-    if algebra.names or algebra.is_ck():
+    if algebra.names:
         names = tuple(map(algebra.name, range(r))) + ("Xi",)
     return LieAlgebra(r + 1, table, names=names)
 

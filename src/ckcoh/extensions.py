@@ -47,7 +47,7 @@ from .cohomology import (
 )
 from .generators import CKBasis, _basis, check_family, delta_selector
 from .omega import OmegaVector, _of_length
-from .rationals import _reader, format_rational, parse_rational, ratio
+from .rationals import format_rational, ratio
 
 
 class ConstraintViolation(ValueError):
@@ -141,21 +141,6 @@ class BasicCoefficients:
             if table := getattr(self, name):
                 obj[name] = {_key_text(k, ","): format_rational(v) for k, v in sorted(table.items())}
         return obj
-
-    @classmethod
-    @_reader
-    def from_json_obj(cls, obj) -> "BasicCoefficients":
-        def key(name, text):
-            if name in ("alpha", "gamma"):
-                return int(text)
-            a, b = text.split(",")
-            return int(a), int(b)
-
-        tables = {
-            name: {key(name, k): parse_rational(v) for k, v in obj.get(name, {}).items()}
-            for name, _ in _FIELDS
-        }
-        return cls(**tables)
 
 
 @dataclass(frozen=True)

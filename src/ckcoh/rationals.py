@@ -10,7 +10,7 @@ No floating point is used anywhere.
 
 from __future__ import annotations
 
-import functools
+import re
 from fractions import Fraction
 
 Scalar = int | Fraction
@@ -30,18 +30,25 @@ def ratio(value) -> Scalar:
 
 
 def parse_rational(token: str) -> Scalar:
-    """Parse 'num' or 'num/den' (ASCII or U+2212 minus) into an exact value.
+    """Parse 'num', 'num/den' or a decimal (ASCII or U+2212 minus) into an exact value.
 
     Exponent notation is refused: `Fraction` would expand a short token such
-    as '1e999999999' into a huge integer before anything could bound it.
+    as '1e999999999' into a huge integer before anything could bound it.  So
+    no token with an e or E reaches `Fraction` whole; one that is a rational,
+    then e or E, then an integer exponent gets the message that names
+    exponent notation, and any other bad token the plain one.
     """
     text = token.strip().replace("−", "-")
-    if "e" in text or "E" in text:
-        raise ValueError(f"bad rational token {token!r}: exponent notation is not accepted")
+    mantissa, e, exponent = text.replace("E", "e").partition("e")
     try:
-        return ratio(Fraction(text))
+        value = ratio(Fraction(mantissa))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad rational token {token!r}") from exc
+    if not e:
+        return value
+    if re.fullmatch("[-+]?[0-9]+", exponent):
+        raise ValueError(f"bad rational token {token!r}: exponent notation is not accepted")
+    raise ValueError(f"bad rational token {token!r}")
 
 
 def format_rational(value) -> str:
@@ -50,25 +57,3 @@ def format_rational(value) -> str:
     if isinstance(value, int):
         return str(value)
     return f"{value.numerator}/{value.denominator}"
-
-
-def _lines(text: str) -> list[str]:
-    """The stripped lines of a text format, blank and `#` comment lines dropped."""
-    return [line.strip() for line in text.splitlines() if line.strip() and line.strip()[0] != "#"]
-
-
-def _reader(parse):
-    """Make a text or JSON reader raise ValueError, and only that, on bad input.
-
-    Out-of-range entries make the constructors raise IndexError, and a mangled
-    input meets KeyError, TypeError or AttributeError on the way.
-    """
-
-    @functools.wraps(parse)
-    def read(cls, data):
-        try:
-            return parse(cls, data)
-        except (LookupError, TypeError, AttributeError) as exc:
-            raise ValueError(f"malformed {cls.__name__} input: {exc!r}") from exc
-
-    return read

@@ -11,7 +11,7 @@ import pytest
 
 import ckcoh.cli
 import ckcoh.extensions
-from ckcoh.algebra import LieAlgebra
+from ckcoh.algebra import build_su_omega, build_u_omega
 from ckcoh.cli import COMMANDS, _sweep_workers, build_parser, main
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -28,15 +28,15 @@ def run_cli(capsys, *argv):
 def test_algebra_text_round_trip(capsys):
     code, out, _ = run_cli(capsys, "algebra", "su", "2", "+,+")
     assert code == 0
-    assert "# jacobi: ok" in out
-    g = LieAlgebra.from_text(out)
-    assert g.dim == 8 and g.family == "su"
+    assert out == build_su_omega(2, [1, 1]).to_text() + "# jacobi: ok\n"
+    assert out.startswith("8 2 su 1 1\n")
 
 
 def test_algebra_u_dim16(capsys):
     code, out, _ = run_cli(capsys, "algebra", "u", "3", "0,+,-")
     assert code == 0
-    assert LieAlgebra.from_text(out).dim == 16
+    assert out == build_u_omega(3, [0, 1, -1]).to_text() + "# jacobi: ok\n"
+    assert out.startswith("16 3 u 0 1 -1\n")
 
 
 def test_algebra_length_mismatch_usage_error(capsys):
@@ -55,9 +55,13 @@ def test_algebra_json_text_same_content(capsys):
     code, text_out, _ = run_cli(capsys, "algebra", "su", "1", "0")
     code2, json_out, _ = run_cli(capsys, "algebra", "su", "1", "0", "--format", "json")
     assert code == code2 == 0
-    obj = json.loads(json_out)
-    assert obj["jacobi_ok"] is True
-    assert LieAlgebra.from_json_obj(obj["algebra"]) == LieAlgebra.from_text(text_out)
+    g = build_su_omega(1, [0])
+    obj = {"algebra": g.to_json_obj(), "jacobi_ok": True}
+    assert json_out == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    assert text_out == g.to_text() + "# jacobi: ok\n"
+    # one text line per JSON constant, in the same order
+    constants = [" ".join(map(str, entry)) for entry in obj["algebra"]["constants"]]
+    assert text_out.splitlines()[1:-1] == constants
 
 
 def test_h2_text_and_json_agree(capsys):

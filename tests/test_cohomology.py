@@ -30,7 +30,7 @@ from ckcoh.extensions import (
     extension_cocycle,
     verify_theorem,
 )
-from ckcoh.generators import CKBasis
+from ckcoh.generators import CKBasis, generator_names
 from ckcoh.omega import OmegaVector, sign_vectors
 from ckcoh.sparse import Echelon, SparseMatrix, _integer_row, nullspace, rank
 from ckcoh.structure import SignedPermutation, transport_constants
@@ -165,6 +165,9 @@ def test_central_extension_trivial_cocycle():
     assert jacobi_residual(ext) == 0
     for i in range(9):
         assert ext.bracket(i, 8) == ()
+    # the builder's generator names, then the central one
+    assert tuple(map(ext.name, range(9))) == generator_names(2, "su") + ("Xi",)
+    assert ext.name(9) == "X_9"
 
 
 def test_central_extension_of_genuine_cocycle():
@@ -418,9 +421,9 @@ def test_the_rank_ceiling_bounds_the_reduce_calls(monkeypatch):
 
 
 def test_ck_metadata_on_another_table_is_solved_as_one_block():
-    # a CK header over an empty (abelian) table: the sign characters must not
+    # CK metadata over an empty (abelian) table: the sign characters must not
     # be trusted, or only the 9 character-0 pairs would be counted
-    g = LieAlgebra.from_text("15 3 su 1 1 1\n")
+    g = LieAlgebra(15, {}, family="su", omega=OmegaVector([1, 1, 1]))
     assert g.is_ck() and not g.constants
     assert g._chars is None
     assert _dims(g) == (105, 0, 105)
@@ -428,11 +431,11 @@ def test_ck_metadata_on_another_table_is_solved_as_one_block():
 
 
 def test_ck_header_over_a_non_lie_table_is_checked():
-    # the header names su_w(2) with w = 1 over the non-Lie table below: it gets
+    # the metadata names su_w(2) with w = 1 over the non-Lie table below: it gets
     # no sign characters, so h2 runs the Jacobi check and refuses it
-    g = LieAlgebra.from_text("3 1 su 1\n0 1 2 1\n0 2 0 1\n")
+    g = LieAlgebra(3, {(0, 1): [(2, 1)], (0, 2): [(0, 1)]}, family="su", omega=OmegaVector([1]))
     assert g.is_ck() and g._chars is None
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="nonzero Jacobi residual"):
         h2(g)
 
 
@@ -476,12 +479,7 @@ def test_the_ck_table_is_built_once_per_verify_theorem(monkeypatch, capsys):
     g = build_su_omega(3, [1, 0, -1])
     fills.clear()
     h2(g)
-    assert fills == []
-    # a header over a table shorter than any CK one is read without a rebuild
-    plain = LieAlgebra.from_text("1681 40 u " + "1 " * 40 + "\n0 1 2 1\n")
-    assert made == fills == [] and plain._chars is None
-    assert LieAlgebra.from_text(g.to_text())._chars == g._chars
-    assert made == [] and fills == [("su", 3)]
+    assert made == fills == []
 
 
 def test_h2_rejects_non_lie_input():
@@ -498,19 +496,13 @@ def test_cochain_pairs_are_range_checked_before_zeros_are_dropped():
     with pytest.raises(IndexError):
         OneCochain(3, {9: 0})
     with pytest.raises(ValueError):
-        TwoCochain.from_text("dim 3\n5 7 0\n")
-    with pytest.raises(ValueError):
         TwoCochain(3, {(1, 1): 2})
     assert TwoCochain(3, {(1, 1): 0, (2, 0): 0, (2, 1): 3}).entries == {(1, 2): -3}
 
 
 def test_cochain_round_trips():
-    import json
-
     xi = TwoCochain(5, {(0, 3): Fraction(2, 7), (1, 2): -4})
     assert xi.get(3, 0) == Fraction(-2, 7)
-    assert TwoCochain.from_text(xi.to_text()) == xi
-    assert TwoCochain.from_json_obj(json.loads(xi.to_json())) == xi
     assert from_vector(5, to_vector(xi)) == xi
 
 

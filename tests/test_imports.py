@@ -7,7 +7,8 @@ package `__init__.py` is exempt, since its imports are re-exports; its
 misses a re-export nor names one that is gone.
 
 Importing the CLI loads no process-pool machinery: only a sweep that runs
-in several processes imports `multiprocessing`.
+in several processes imports `multiprocessing`.  Importing the library
+without the CLI loads no `json`: only the CLI renders a payload.
 """
 
 import ast
@@ -76,13 +77,21 @@ def test_all_lists_exactly_the_reexports():
     assert set(listed) <= set(namespace)
 
 
-def test_the_cli_imports_no_process_machinery():
+def _loaded(statement, roots):
+    """The modules under `roots` that a fresh interpreter holds after `statement`."""
     src = str(PACKAGE.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = (
-        "import sys, ckcoh.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
-    )
+    code = f"import sys; {statement}; print(sorted(m for m in sys.modules if m.split('.')[0] in {roots!r}))"
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stderr
-    assert run.stdout == "[]\n"
+    return run.stdout
+
+
+def test_the_cli_imports_no_process_machinery():
+    assert _loaded("import ckcoh.cli", ("multiprocessing", "concurrent")) == "[]\n"
+
+
+def test_the_library_imports_no_serialization():
+    # only the CLI renders JSON; the library reads and writes no file format
+    assert _loaded("import ckcoh", ("json",)) == "[]\n"
+    assert _loaded("import ckcoh.cli", ("json",)) != "[]\n"

@@ -19,7 +19,7 @@ from ckcoh.extensions import (
 )
 from ckcoh.generators import CKBasis
 from ckcoh.omega import OmegaVector
-from ckcoh.rationals import ratio
+from ckcoh.rationals import parse_rational, ratio
 from ckcoh.realization import fundamental_matrices, metric_matrix
 from ckcoh.sparse import SparseMatrix, solve_many
 from ckcoh.structure import (
@@ -53,7 +53,35 @@ CASES = {
         ValueError,
         "not a Cayley-Klein algebra (no family metadata)",
     ),
-    "algebra-empty-file": (lambda: LieAlgebra.from_text(""), ValueError, "empty algebra file"),
+    "algebra-names-long": (
+        lambda: LieAlgebra(2, {}, names=("a", "b", "c", "d")),
+        ValueError,
+        "names has 4 entries, expected 2",
+    ),
+    "algebra-names-short": (
+        lambda: LieAlgebra(3, {(0, 1): [(2, 1)]}, names=("a",)),
+        ValueError,
+        "names has 1 entries, expected 3",
+    ),
+    "rational-word": (lambda: parse_rational("True"), ValueError, "bad rational token 'True'"),
+    "rational-one": (lambda: parse_rational("one"), ValueError, "bad rational token 'one'"),
+    "rational-e": (lambda: parse_rational("e"), ValueError, "bad rational token 'e'"),
+    "rational-no-exponent": (lambda: parse_rational("1e"), ValueError, "bad rational token '1e'"),
+    "omega-word": (
+        lambda: OmegaVector.parse("+,True"),
+        ValueError,
+        "bad rational token 'True'",
+    ),
+    "rational-exponent": (
+        lambda: parse_rational("2.5e1"),
+        ValueError,
+        "bad rational token '2.5e1': exponent notation is not accepted",
+    ),
+    "rational-fraction-exponent": (
+        lambda: parse_rational("1/2e1"),
+        ValueError,
+        "bad rational token '1/2e1': exponent notation is not accepted",
+    ),
     "delta-dim": (lambda: delta(SU2, OneCochain(3)), ValueError, WRONG_DIM),
     "defect-dim": (lambda: cocycle_defect(SU2, TwoCochain(3)), ValueError, WRONG_DIM),
     "extension-dim": (lambda: central_extension(SU2, TwoCochain(3)), ValueError, WRONG_DIM),

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -137,3 +138,43 @@ def test_an_omega_vector_is_not_coerced_again(monkeypatch):
     monkeypatch.setattr(ckcoh.omega, "ratio", None)  # any call would raise
     again = OmegaVector(omega)
     assert again == omega and again.values is omega.values
+
+
+def _mutate(text, rng):
+    """One or two seeded edits: a character deleted, inserted or replaced, or a line repeated or dropped."""
+    chars = "0123456789-+/ .,:#\n\t\"'[]{}esuIX−"
+    for _ in range(rng.randint(1, 2)):
+        at = rng.randrange(len(text) + 1)
+        kind = rng.randrange(5)
+        if kind == 0:
+            text = text[:at] + text[at + 1 :]
+        elif kind == 1:
+            text = text[:at] + rng.choice(chars) + text[at:]
+        elif kind == 2:
+            text = text[:at] + rng.choice(chars) + text[at + 1 :]
+        else:
+            lines = text.split("\n")
+            k = rng.randrange(len(lines))
+            if kind == 3:
+                lines.insert(k, lines[rng.randrange(len(lines))])
+            else:
+                del lines[k]
+            text = "\n".join(lines)
+    return text
+
+
+def test_parse_raises_only_value_error():
+    # the CLI turns a ValueError into a usage error; anything else would be a traceback
+    seeds = ["+,0,-1/2,3", "−,2/7,0"]
+    for seed in seeds:
+        OmegaVector.parse(seed)
+    rng = random.Random("OmegaVector")
+    parsed = 0
+    for _ in range(300):
+        try:
+            OmegaVector.parse(_mutate(rng.choice(seeds), rng))
+        except ValueError:
+            continue
+        parsed += 1
+    # both outcomes must occur, or the mutations miss the parser
+    assert 0 < parsed < 300
