@@ -46,7 +46,8 @@ omega, and the elimination skips a copy of a row it has reduced, since that
 copy would reduce to zero.  An algebra the builders make holds its skeleton
 and code values, so `_fill_rows` fills the block at its omega with one
 lookup per entry; a table made directly with `LieAlgebra` holds neither,
-nor any sign characters, and is walked as it is.
+nor any sign characters, family or omega, and is walked as it is.  So only
+the builders make a Cayley-Klein algebra (`LieAlgebra.is_ck`).
 """
 
 from __future__ import annotations
@@ -66,8 +67,9 @@ class LieAlgebra:
     (k -> [(p, q, C_pq^k)] in table order).  When `_build_ck` filled the
     table from a skeleton, `_skeleton` is that skeleton, `_slot_values` its
     code values at omega and `_chars` its sign characters; any other table
-    holds None in all three, so it is one block of character 0, whatever
-    `family` and `omega` it is given.  `names`, when given, names every
+    holds None in all three, and in `family` and `omega`, so it is one block
+    of character 0.  Only the builders make a Cayley-Klein algebra: `is_ck`
+    and `ck_basis` read the skeleton.  `names`, when given, names every
     generator; without it, `name` gives `X_i`.
     """
 
@@ -83,7 +85,7 @@ class LieAlgebra:
         "_slot_values",
     )
 
-    def __init__(self, dim, constants, family=None, omega=None, names=None):
+    def __init__(self, dim, constants, names=None):
         if dim < 1:
             raise ValueError("dimension must be positive")
         table = {}
@@ -112,7 +114,7 @@ class LieAlgebra:
         names = tuple(names) if names else None
         if names and len(names) != dim:
             raise ValueError(f"names has {len(names)} entries, expected {dim}")
-        _set_facts(self, dim, table, family, omega, names, into, None, None, None)
+        _set_facts(self, dim, table, None, None, names, into, None, None, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("LieAlgebra is immutable")
@@ -146,12 +148,12 @@ class LieAlgebra:
         return f"X_{i}"
 
     def is_ck(self) -> bool:
-        return self.family is not None and self.omega is not None
+        return self._skeleton is not None
 
     def ck_basis(self) -> CKBasis:
         if not self.is_ck():
             raise ValueError("not a Cayley-Klein algebra (no family metadata)")
-        return _basis(self.omega.n, self.family)
+        return self._skeleton.basis
 
     # -- serialization ---------------------------------------------------
 

@@ -25,7 +25,8 @@ an automorphism acts trivially on H2 (Hochschild and Serre, Ann. Math. 57,
 
     Z2_chi = B2_chi for every chi != 0:
 
-all of H2 lives in block 0.  Any other algebra has zero characters, is one
+all of H2 lives in block 0.  Any other algebra, a table made directly with
+`LieAlgebra` (which takes no family or omega), has zero characters, is one
 block, and must pass the Jacobi check; a builder's table is Lie by design.
 
 The coboundary matrix is block-diagonal by character too: delta(e_k) lies

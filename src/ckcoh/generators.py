@@ -20,24 +20,6 @@ def check_family(family: str) -> str:
     return family
 
 
-def generator_names(N: int, family: str) -> tuple[str, ...]:
-    check_family(family)
-    return tuple(_generator_name(N, i) for i in range((N + 1) ** 2 - (family == "su")))
-
-
-def _generator_name(N: int, i: int) -> str:
-    """The name of canonical generator i < dim, worked out from N and i alone."""
-    P = N * (N + 1) // 2
-    if i >= 2 * P:
-        return f"B({i - 2 * P + 1})" if i < 2 * P + N else "I"
-    kind, i = ("J", i) if i < P else ("M", i - P)
-    a = 0
-    while i >= N - a:  # the N - a pairs (a, b) come before those of a + 1
-        i -= N - a
-        a += 1
-    return f"{kind}({a},{a + 1 + i})"
-
-
 class CKBasis:
     """Index arithmetic for the canonical ordering at a given N and family.
 
@@ -88,7 +70,13 @@ class CKBasis:
         return iter(self._j)
 
     def names(self) -> tuple[str, ...]:
-        return generator_names(self.N, self.family)
+        """The generator names, in canonical order."""
+        names = [f"J({a},{b})" for a, b in self._j]
+        names += [f"M({a},{b})" for a, b in self._j]
+        names += [f"B({l})" for l in range(1, self.N + 1)]
+        if self.family == "u":
+            names.append("I")
+        return tuple(names)
 
 
 @functools.lru_cache(maxsize=64)

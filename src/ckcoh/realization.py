@@ -86,6 +86,8 @@ class ComplexMatrix:
         return not self.entries
 
     def __matmul__(self, other):
+        if other.size != self.size:
+            raise ValueError(f"matrix sizes differ: {self.size} and {other.size}")
         row_of = {}
         for (k, c), value in other.entries.items():
             row_of.setdefault(k, []).append((c, value))
@@ -157,6 +159,8 @@ def representation_defects(algebra: LieAlgebra, mats: list[ComplexMatrix]):
     and a zero bracket, so it is no defect.
     """
     dim = algebra.dim
+    if len(mats) != dim:
+        raise ValueError(f"{len(mats)} matrices for an algebra of dim {dim}")
     by_row, by_col = {}, {}
     for n in range(dim):
         for r, c in mats[n].entries:

@@ -128,8 +128,8 @@ def involution_automorphism(algebra: LieAlgebra, subset) -> SignedPermutation:
     The sign is (-1)^|S & chi| over the sign characters `LieAlgebra._chars`.
     Verified to preserve every bracket before being returned.
     """
-    if not any(algebra._chars or ()):
-        raise ValueError("no sign characters: not an algebra the CK builders made")
+    if not algebra.is_ck():
+        raise ValueError("not an algebra the CK builders made")
     subset = frozenset(subset)
     if any(not 0 <= s <= algebra.omega.n for s in subset):
         raise ValueError(f"subset must lie in 0..{algebra.omega.n}")

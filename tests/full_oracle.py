@@ -30,7 +30,8 @@ row, repeated ones too.
 one bracket skeleton: it builds the whole table with `built_ck_structure`,
 omega products looked up per pair and zero constants kept, passes it
 through `LieAlgebra.__init__`, which checks and cleans every entry, and
-sets the sign characters pair by pair.
+sets the family, omega and sign characters as the builders do, the
+characters pair by pair.
 
 `_read_basic` is the reading of the basic coefficients before it became
 entry-driven: it reads every slot of the cochain, N^2 of them.
@@ -42,7 +43,7 @@ from fractions import Fraction
 
 from ckcoh.algebra import LieAlgebra, _build_ck, jacobi_residual
 from ckcoh.extensions import BasicCoefficients, ContractionReport, dim_h2_formula
-from ckcoh.generators import CKBasis, _basis, check_family, delta_selector, generator_names
+from ckcoh.generators import CKBasis, _basis, check_family, delta_selector
 from ckcoh.omega import OmegaVector
 from ckcoh.cochains import OneCochain, TwoCochain, pair_count
 from ckcoh.cohomology import CohomologyResult, NotACocycleError, cocycle_defect, cocycle_system
@@ -317,16 +318,12 @@ def checked_build_ck(N: int, omega, family: str) -> LieAlgebra:
     if omega.n != N:
         raise ValueError(f"omega has {omega.n} entries, expected N={N}")
     basis = _basis(N, family)
-    algebra = LieAlgebra(
-        basis.dim,
-        built_ck_structure(basis, omega),
-        family=family,
-        omega=omega,
-        names=basis.names(),
-    )
+    algebra = LieAlgebra(basis.dim, built_ck_structure(basis, omega), names=basis.names())
     chars = [0] * basis.dim
     for (a, b), k in basis._j.items():
         chars[k] = chars[basis.pair_count + k] = (1 << a) | (1 << b)
+    object.__setattr__(algebra, "family", family)
+    object.__setattr__(algebra, "omega", omega)
     object.__setattr__(algebra, "_chars", tuple(chars))
     return algebra
 
@@ -400,7 +397,7 @@ class FormulaBasis:
                 yield a, b
 
     def names(self) -> tuple[str, ...]:
-        return generator_names(self.N, self.family)
+        return CKBasis(self.N, self.family).names()
 
     def _check_pair(self, a: int, b: int):
         if not 0 <= a < b <= self.N:

@@ -25,7 +25,7 @@ from ckcoh.extensions import (
     trivializing_cochain,
 )
 from ckcoh.generators import CKBasis
-from ckcoh.omega import sign_vectors
+from ckcoh.omega import OmegaVector, sign_vectors
 from ckcoh.realization import (
     fundamental_matrices,
     isometry_defect,
@@ -241,3 +241,18 @@ def test_criterion_11_oracle_equivalence():
     _report(
         "11 dense pivot-free oracle agreement (50 random + CK N<=3)", not bad
     )
+
+
+def test_criterion_12_kunneth_u_over_su(sweep):
+    # I is central and su_w an ideal, so u_w = su_w + R I and
+    # dim H2(u_w) - dim H2(su_w) = dim H1(su_w) = dim su_w - dim B2(su_w):
+    # the sweep's dim H2 against the solver's dim B2, with no closed formula
+    bad = []
+    for n in range(1, 7):
+        for signs in product("+-0", repeat=n):
+            text = ",".join(signs)
+            su = build_su_omega(n, OmegaVector.parse(text))
+            b2 = h2(su, representatives=False).dim_B2
+            if sweep[("u", n, text)]["dim_h2"] - sweep[("su", n, text)]["dim_h2"] != su.dim - b2:
+                bad.append(text)
+    _report("12 Kunneth u = su + R I (1092 sign vectors N<=6)", not bad, f"{len(bad)} bad")

@@ -42,6 +42,34 @@ def test_u_restriction_matches_su():
     assert {p: e for p, e in gu.constants.items() if p[1] < 15} == gs.constants
 
 
+def test_ck_metadata_cannot_be_put_on_a_table():
+    # a table made directly cannot carry CK metadata, right or wrong
+    for dim, omega in ((3, [1]), (5, OmegaVector([1]))):
+        with pytest.raises(TypeError):
+            LieAlgebra(dim, {}, family="su", omega=omega)
+    g = build_su_omega(1, [1])
+    plain = LieAlgebra(g.dim, g.constants, names=g.names)
+    assert g.is_ck() and g.ck_basis() is g._skeleton.basis
+    assert not plain.is_ck() and (plain.family, plain.omega, plain._chars) == (None, None, None)
+    with pytest.raises(ValueError, match="not a Cayley-Klein algebra"):
+        plain.ck_basis()
+
+
+def test_generator_names_follow_the_canonical_order():
+    su = ("J(0,1)", "J(0,2)", "J(1,2)", "M(0,1)", "M(0,2)", "M(1,2)", "B(1)", "B(2)")
+    assert CKBasis(2, "su").names() == su
+    assert CKBasis(2, "u").names() == su + ("I",)
+    for N in range(1, 7):
+        for family in ("su", "u"):
+            basis = CKBasis(N, family)
+            names = basis.names()
+            assert len(names) == basis.dim
+            for a, b in basis.index_pairs():
+                assert names[basis.j(a, b)] == f"J({a},{b})"
+                assert names[basis.m(a, b)] == f"M({a},{b})"
+            assert [names[basis.b(l)] for l in range(1, N + 1)] == [f"B({l})" for l in range(1, N + 1)]
+
+
 def test_omega_length_mismatch():
     with pytest.raises(ValueError):
         build_su_omega(2, [1, 1, 1])

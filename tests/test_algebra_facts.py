@@ -45,7 +45,7 @@ def test_index_and_characters_match_the_rebuilt_ones(build):
 def test_a_table_made_directly_is_solved_as_one_block(build):
     for omega in _omegas(3):
         g = build(omega.n, omega)
-        plain = LieAlgebra(g.dim, g.constants, family=g.family, omega=g.omega)
+        plain = LieAlgebra(g.dim, g.constants)
         assert plain._chars is None and plain._into == g._into, omega
         block, whole = h2(g), h2(plain)
         assert (whole.dim_Z2, whole.dim_B2, whole.dim_H2) == (

@@ -30,7 +30,7 @@ from ckcoh.extensions import (
     extension_cocycle,
     verify_theorem,
 )
-from ckcoh.generators import CKBasis, generator_names
+from ckcoh.generators import CKBasis
 from ckcoh.omega import OmegaVector, sign_vectors
 from ckcoh.sparse import Echelon, SparseMatrix, _integer_row, nullspace, rank
 from ckcoh.structure import SignedPermutation, transport_constants
@@ -166,7 +166,7 @@ def test_central_extension_trivial_cocycle():
     for i in range(9):
         assert ext.bracket(i, 8) == ()
     # the builder's generator names, then the central one
-    assert tuple(map(ext.name, range(9))) == generator_names(2, "su") + ("Xi",)
+    assert tuple(map(ext.name, range(9))) == CKBasis(2, "su").names() + ("Xi",)
     assert ext.name(9) == "X_9"
 
 
@@ -418,25 +418,6 @@ def test_the_rank_ceiling_bounds_the_reduce_calls(monkeypatch):
         calls.clear()
         assert h2(g, representatives=representatives).dim_H2 == 0
         assert 0 < len(calls) <= 200, len(calls)
-
-
-def test_ck_metadata_on_another_table_is_solved_as_one_block():
-    # CK metadata over an empty (abelian) table: the sign characters must not
-    # be trusted, or only the 9 character-0 pairs would be counted
-    g = LieAlgebra(15, {}, family="su", omega=OmegaVector([1, 1, 1]))
-    assert g.is_ck() and not g.constants
-    assert g._chars is None
-    assert _dims(g) == (105, 0, 105)
-    assert len(h2(g).representatives) == 105
-
-
-def test_ck_header_over_a_non_lie_table_is_checked():
-    # the metadata names su_w(2) with w = 1 over the non-Lie table below: it gets
-    # no sign characters, so h2 runs the Jacobi check and refuses it
-    g = LieAlgebra(3, {(0, 1): [(2, 1)], (0, 2): [(0, 1)]}, family="su", omega=OmegaVector([1]))
-    assert g.is_ck() and g._chars is None
-    with pytest.raises(ValueError, match="nonzero Jacobi residual"):
-        h2(g)
 
 
 def test_the_ck_table_is_built_once_per_verify_theorem(monkeypatch, capsys):

@@ -20,7 +20,13 @@ from ckcoh.extensions import (
 from ckcoh.generators import CKBasis
 from ckcoh.omega import OmegaVector
 from ckcoh.rationals import parse_rational, ratio
-from ckcoh.realization import fundamental_matrices, metric_matrix
+from ckcoh.realization import (
+    ComplexMatrix,
+    fundamental_matrices,
+    isometry_defect,
+    metric_matrix,
+    representation_defects,
+)
 from ckcoh.sparse import SparseMatrix, solve_many
 from ckcoh.structure import (
     SignedPermutation,
@@ -35,6 +41,13 @@ WRONG_DIM = "cochain dimension does not match the algebra"
 
 def _cocycle(family, n, omega, **coeffs):
     return lambda: extension_cocycle(family, n, omega, BasicCoefficients(**coeffs))
+
+
+def _involution_of_a_table_with_characters():
+    # the sign characters of su_w(3) on a table no builder made: no omega to range S over
+    plain = LieAlgebra(SU2.dim, SU2.constants)
+    object.__setattr__(plain, "_chars", SU2._chars)
+    return involution_automorphism(plain, {0})
 
 
 CASES = {
@@ -150,6 +163,31 @@ CASES = {
         lambda: involution_automorphism(SU2, {3}),
         ValueError,
         "subset must lie in 0..2",
+    ),
+    "involution-not-built": (
+        _involution_of_a_table_with_characters,
+        ValueError,
+        "not an algebra the CK builders made",
+    ),
+    "matmul-size": (
+        lambda: ComplexMatrix(2, {(1, 1): (1, 0)}) @ ComplexMatrix(3, {(1, 2): (1, 0)}),
+        ValueError,
+        "matrix sizes differ: 2 and 3",
+    ),
+    "isometry-size": (
+        lambda: isometry_defect(ComplexMatrix(3, {(2, 2): (1, 0)}), metric_matrix(1, [1])),
+        ValueError,
+        "matrix sizes differ: 3 and 2",
+    ),
+    "rep-matrices-long": (
+        lambda: representation_defects(SU2, fundamental_matrices(2, [1, 1], "u")),
+        ValueError,
+        "9 matrices for an algebra of dim 8",
+    ),
+    "rep-matrices-short": (
+        lambda: representation_defects(SU2, fundamental_matrices(2, [1, 1], "su")[:-1]),
+        ValueError,
+        "7 matrices for an algebra of dim 8",
     ),
     "block-index": (
         lambda: translation_block_indices(2, 3),

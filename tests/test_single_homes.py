@@ -13,11 +13,14 @@
   gives the same constants, bracket index and characters, key order
   included, and `extension_cocycle` the same cochain as over the old table.
 
-Two rules are pinned in the text of the package: the omega length message is
-written once (`omega._of_length`), and only `extensions._label` writes an
-alpha, beta or gamma label.
+Three rules are pinned in the text of the package: the omega length message
+is written once (`omega._of_length`), only `extensions._label` writes an
+alpha, beta or gamma label, and only `CKBasis.names` writes a generator name.
+One in its signature: `LieAlgebra` takes no family or omega, so only the
+builders make a Cayley-Klein algebra.
 """
 
+import inspect
 import random
 import re
 from fractions import Fraction
@@ -170,3 +173,15 @@ def test_no_f_string_but_the_label_helper_writes_a_coefficient_label():
     assert len(SOURCES) > 10
     assert _matches(r"\bf[\"'][αβγ]_") == []
     assert _matches(r"def _label\(") == [("extensions.py", "def _label(")]
+
+
+def test_only_the_basis_writes_a_generator_name():
+    # an f-string that starts a J(, M( or B( name; a docstring's J(a,b) is no f-string
+    pattern = r"\bf[\"'][JMB]\("
+    written = [match.group() for match in re.finditer(pattern, inspect.getsource(CKBasis.names))]
+    assert written == ['f"J(', 'f"M(', 'f"B(']
+    assert _matches(pattern) == [("generators.py", name) for name in written]
+
+
+def test_only_the_builders_make_a_cayley_klein_algebra():
+    assert list(inspect.signature(LieAlgebra).parameters) == ["dim", "constants", "names"]
