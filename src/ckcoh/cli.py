@@ -20,9 +20,12 @@ CKCOH_THREADS is the number of processes a sweep uses, this one included
 (default and cap: the usable cores).
 
 Each command is `cmd_x(args, omega) -> (payload, ok)`, the payload a JSON
-object under `--format json` and text otherwise; `main` parses omega,
-renders the payload, byte-compares it with `--golden`, writes it and maps
-`ok` to the exit code.
+object under `--format json` and text otherwise; `main` parses omega, runs
+the command, byte-compares the rendered payload with `--golden`, writes the
+payload and maps `ok` to the exit code.  A JSON payload is written piece by
+piece (`_write_json`), as the bytes `json.dumps(payload, indent=2,
+sort_keys=True)` would give, so no command holds its whole rendering; the
+`--out` file is opened only once the command has returned.
 """
 
 from __future__ import annotations
@@ -30,9 +33,9 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
-import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .algebra import build_su_omega, build_u_omega, jacobi_residual
 from .extensions import (
@@ -151,10 +154,24 @@ def cmd_classify(args, omega):
 
 
 def _matrix_json(mat):
-    return {
-        "re": [[format_rational(v) for v in row] for row in mat.re],
-        "im": [[format_rational(v) for v in row] for row in mat.im],
-    }
+    """The `re` and `im` grids of `mat`, each a generator of its dense rows.
+
+    The rows are made from the entry map one at a time as `_write_json`
+    takes them, so no dense grid of the matrix is ever held whole.
+    """
+    by_row = {}
+    for (r, c), value in mat.entries.items():
+        by_row.setdefault(r, []).append((c, value))
+    return {"re": _grid_rows(mat.size, by_row, 0), "im": _grid_rows(mat.size, by_row, 1)}
+
+
+def _grid_rows(size, by_row, part):
+    """Each dense row of one part (0 re, 1 im) of a matrix, as rational strings."""
+    for r in range(size):
+        row = ["0"] * size
+        for c, value in by_row.get(r, ()):
+            row[c] = format_rational(value[part])
+        yield row
 
 
 def cmd_rep(args, omega):
@@ -400,6 +417,87 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_GENERATOR = type(x for x in ())
+_CONTAINERS = frozenset((dict, list, _GENERATOR))
+
+
+def _write_json(obj, write) -> None:
+    """Write `obj` as the text `json.dumps(obj, indent=2, sort_keys=True) + "\\n"`.
+
+    The text goes to `write` in pieces as `obj` is walked, strings through
+    the C `encode_basestring_ascii`, dict keys sorted.  Only str, int, bool,
+    None, list and dict with str keys are written; a generator is written
+    as the list of what it yields, so a large array can be made one item at
+    a time.  Anything else raises TypeError.
+    """
+    _write_value(obj, write, "\n")
+    write("\n")
+
+
+def _write_value(obj, write, newline):
+    """Write one value; `newline` is a line break plus the indent of the line it starts on.
+
+    A container's opening piece doubles as the separator before its first
+    item, so a container whose separator is still that piece was empty.
+    """
+    kind = type(obj)
+    inner = newline + "  "
+    if kind is dict:
+        sep = "{" + inner
+        for key in sorted(obj):
+            if type(key) is not str:
+                raise TypeError(f"JSON object keys must be str, not {type(key).__name__}")
+            value = obj[key]
+            head = sep + encode_basestring_ascii(key) + ": "
+            if type(value) in _CONTAINERS:
+                write(head)
+                _write_value(value, write, inner)
+            else:
+                write(head + _scalar(value))
+            sep = "," + inner
+        write("{}" if sep[0] == "{" else newline + "}")
+    elif kind is list and obj and all(type(value) is str for value in obj):
+        # one piece for a list of strings, such as a dense row of `rep`
+        sep = "," + inner
+        write("[" + inner + sep.join(map(encode_basestring_ascii, obj)) + newline + "]")
+    elif kind is list or kind is _GENERATOR:
+        sep = "[" + inner
+        for value in obj:
+            if type(value) in _CONTAINERS:
+                write(sep)
+                _write_value(value, write, inner)
+            else:
+                write(sep + _scalar(value))
+            sep = "," + inner
+        write("[]" if sep[0] == "[" else newline + "]")
+    else:
+        write(_scalar(obj))
+
+
+def _scalar(value) -> str:
+    """The JSON text of a str, int, bool or None; TypeError for anything else."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return str(value)
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if value is None:
+        return "null"
+    raise TypeError(f"cannot write a {kind.__name__} as JSON")
+
+
+def _write_payload(payload, write) -> None:
+    """Write a text payload as it is and a JSON one through `_write_json`."""
+    if isinstance(payload, str):
+        write(payload)
+    else:
+        _write_json(payload, write)
+
+
 COMMANDS = {
     "algebra": cmd_algebra,
     "h2": cmd_h2,
@@ -412,7 +510,7 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    """Parse argv, run one command, render its payload and write it once.
+    """Parse argv, run one command and write its payload.
 
     Exit 0 when the command's checks hold, 1 when one fails, 2 on a usage
     error (no payload is written then).
@@ -423,9 +521,10 @@ def main(argv=None) -> int:
             raise ValueError("N must be a positive integer")
         omega = _parse_omega(args.N, args.omega) if hasattr(args, "omega") else None
         payload, ok = COMMANDS[args.command](args, omega)
-        if args.format == "json":
-            payload = json.dumps(payload, indent=2, sort_keys=True) + "\n"
         if getattr(args, "golden", None):  # `table`: byte-compare the payload as rendered
+            pieces = []
+            _write_payload(payload, pieces.append)
+            payload = "".join(pieces)
             with open(args.golden, "r", encoding="utf-8", newline="") as handle:
                 match = handle.read() == payload
             verdict = "golden: MATCH" if match else f"golden mismatch against {args.golden}"
@@ -433,9 +532,9 @@ def main(argv=None) -> int:
             ok = ok and match
         if args.out:
             with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(payload)
+                _write_payload(payload, handle.write)
         else:
-            sys.stdout.write(payload)
+            _write_payload(payload, sys.stdout.write)
     except (ValueError, IndexError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR

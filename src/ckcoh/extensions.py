@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import LieAlgebra, _ck_structure, build_su_omega, build_u_omega
@@ -75,33 +75,42 @@ def _label(name: str, key) -> str:
     return f"{_SYMBOLS[name]}_{_key_text(key, '')}"
 
 
-@dataclass(frozen=True)
+def _nonzero(table: dict) -> dict:
+    """A new dict of the nonzero values of `table`, each normalized by `ratio`."""
+    clean = {}
+    for key, v in table.items():
+        if v := ratio(v):
+            clean[key] = v
+    return clean
+
+
+@dataclass(frozen=True, init=False)
 class BasicCoefficients:
     """Basic extension coefficients; absent entries are zero.
 
-    Only the fields given are cleaned: an empty field becomes a new `{}`.
+    Each field is a new dict of the nonzero values given, each normalized by
+    `ratio`; a field that is not given, or given as None, is a new `{}`.
     """
 
-    eta: dict = field(default_factory=dict)
-    tau: dict = field(default_factory=dict)
-    alpha: dict = field(default_factory=dict)
-    beta: dict = field(default_factory=dict)
-    gamma: dict = field(default_factory=dict)
+    eta: dict
+    tau: dict
+    alpha: dict
+    beta: dict
+    gamma: dict
 
-    def __post_init__(self):
-        fields = self.__dict__  # frozen: set in place of `object.__setattr__`
-        for name, _ in _FIELDS:
-            clean = {}
-            if table := fields[name]:
-                for key, v in table.items():
-                    if v := ratio(v):
-                        clean[key] = v
-            fields[name] = clean
+    def __init__(self, eta=None, tau=None, alpha=None, beta=None, gamma=None):
+        self.__dict__.update(  # frozen: set in place of `object.__setattr__`
+            eta=_nonzero(eta) if eta else {},
+            tau=_nonzero(tau) if tau else {},
+            alpha=_nonzero(alpha) if alpha else {},
+            beta=_nonzero(beta) if beta else {},
+            gamma=_nonzero(gamma) if gamma else {},
+        )
 
     def validate(self, family: str, omega: OmegaVector):
         """Index ranges plus the Type III constraints; raises on violation."""
         check_family(family)
-        n = omega.n
+        n, values = omega.n, omega.values
         for (a, b) in itertools.chain(self.eta, self.tau):
             if not 0 <= a < b <= n:
                 raise ConstraintViolation(f"eta/tau index ({a},{b}) out of range")
@@ -111,7 +120,7 @@ class BasicCoefficients:
         for (k, l), v in self.beta.items():
             if not 1 <= k < l <= n:
                 raise ConstraintViolation(f"beta index ({k},{l}) out of range")
-            if omega.omega(k) * v != 0 or omega.omega(l) * v != 0:
+            if values[k - 1] * v != 0 or values[l - 1] * v != 0:
                 raise ConstraintViolation(
                     f"beta_{k}{l} != 0 requires omega_{k} = omega_{l} = 0"
                 )
@@ -120,7 +129,7 @@ class BasicCoefficients:
         for k, v in self.gamma.items():
             if not 1 <= k <= n:
                 raise ConstraintViolation(f"gamma index {k} out of range")
-            if omega.omega(k) * v != 0:
+            if values[k - 1] * v != 0:
                 raise ConstraintViolation(f"gamma_{k} != 0 requires omega_{k} = 0")
 
     def is_zero(self) -> bool:

@@ -1,4 +1,7 @@
 import argparse
+import contextlib
+import hashlib
+import io
 import itertools
 import json
 import multiprocessing
@@ -240,6 +243,116 @@ def test_out_file_matches_stdout(capsys, tmp_path, monkeypatch):
     # byte-identical across runs
     run_cli(capsys, "table", "su", "3", "--out", str(path))
     assert path.read_bytes() == first
+
+
+def test_a_usage_error_creates_no_out_file(capsys, tmp_path):
+    # the --out file is opened only once the command has returned
+    path = tmp_path / "F"
+    code, out, err = run_cli(capsys, "h2", "su", "2", "+,+,+", "--out", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: omega list has 3 entries, expected N=2\n"
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("h2", "u", "6", "0,-1/2,0,0,3,0", "--format", "json"),
+        ("rep", "u", "3", "0,1/2,-", "--format", "json"),
+    ],
+    ids=["h2", "rep"],
+)
+def test_streamed_out_file_matches_stdout(capsys, tmp_path, argv):
+    path = tmp_path / "payload.json"
+    code, out, _ = run_cli(capsys, *argv, "--out", str(path))
+    assert (code, out) == (0, "")
+    code, stdout_run, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert path.read_bytes() == stdout_run.encode("utf-8")
+
+
+class _CountingWriter:
+    """A stand-in for stdout that keeps every piece written to it."""
+
+    def __init__(self):
+        self.pieces = []
+
+    def write(self, piece):
+        self.pieces.append(piece)
+        return len(piece)
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (("h2", "su", "6", "0,0,0,0,0,0", "--format", "json"), "h2_su_6_000000.json"),
+        (("rep", "u", "3", "0,1/2,-", "--format", "json"), "rep_u_3_0hm.json"),
+    ],
+    ids=["h2", "rep"],
+)
+def test_a_payload_written_in_many_pieces_joins_to_its_golden(monkeypatch, argv, golden):
+    # as `perfbench/run.py` reads a payload: stdout swapped for another writer
+    stdout = _CountingWriter()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(list(argv)) == 0
+    monkeypatch.undo()
+    with open(os.path.join(DATA, golden), "rb") as handle:
+        want = handle.read()
+    assert len(stdout.pieces) > 50
+    assert "".join(stdout.pieces).encode("utf-8") == want
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        assert main(list(argv)) == 0
+    assert len(buffer.getvalue().encode("utf-8")) == len(want)
+
+
+# sha256 of `rep su 20 (+,...,+) --format json`, as `json.dumps` rendered it
+REP_SU_20_JSON_SHA256 = "a7cf7d24c1c2ff795ea06494c959feb49f8bd8f632451fe3feb5350cb418622d"
+
+
+# Spawns `python -m ckcoh.cli ARGV...` with stdout in OUT, waits through
+# os.wait4 and prints the exit code and the child's ru_maxrss (KB).  A child
+# starts out with the peak RSS of the process that spawns it, so this small
+# launcher spawns the CLI, never the test process itself.
+_LAUNCHER = """
+import os, signal, sys, time
+out_path, argv = sys.argv[1], sys.argv[2:]
+with open(out_path, "wb") as out:
+    pid = os.posix_spawn(sys.executable, [sys.executable, "-m", "ckcoh.cli", *argv], os.environ,
+                         file_actions=[(os.POSIX_SPAWN_DUP2, out.fileno(), 1)])
+deadline = time.monotonic() + 120
+while not (done := os.wait4(pid, os.WNOHANG))[0] and time.monotonic() < deadline:
+    time.sleep(0.02)
+if not done[0]:
+    os.kill(pid, signal.SIGKILL)
+    done = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(done[1]), done[2].ru_maxrss)
+"""
+
+
+def _peak_rss_mb(argv, out_path) -> float:
+    """Peak resident memory of a fresh `ckcoh` process, its stdout in out_path."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    run = subprocess.run(
+        [sys.executable, "-c", _LAUNCHER, str(out_path), *argv],
+        env=env, capture_output=True, text=True, timeout=180,
+    )
+    assert run.returncode == 0, run.stderr
+    code, maxrss_kb = map(int, run.stdout.split())
+    assert code == 0, (argv, code)
+    return maxrss_kb / 1024
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4 for a child's peak RSS")
+def test_rep_json_is_streamed_at_the_memory_of_text(tmp_path):
+    # both dense grids of every matrix used to be held with the whole payload:
+    # 83.8 MB against 26.0 MB as text at su 20
+    argv = ["rep", "su", "20", ",".join("+" * 20)]
+    text_mb = _peak_rss_mb(argv, tmp_path / "rep.txt")
+    json_mb = _peak_rss_mb(argv + ["--format", "json"], tmp_path / "rep.json")
+    digest = hashlib.sha256((tmp_path / "rep.json").read_bytes()).hexdigest()
+    assert digest == REP_SU_20_JSON_SHA256
+    assert json_mb <= 1.5 * text_mb, (json_mb, text_mb)
 
 
 def test_negative_n_rejected(capsys):

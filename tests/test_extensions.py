@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -464,6 +465,53 @@ def test_basic_coefficients_hold_no_dict_they_were_given():
     assert coeffs.beta == {} and coeffs.tau == {} and coeffs.gamma == {}
     given["eta"][(0, 1)] = 1
     assert coeffs.eta == {}
+
+
+def test_basic_coefficients_take_fields_by_position_keyword_or_none():
+    by_position = BasicCoefficients({(0, 1): 1}, None, {2: Fraction(4, 2)}, {(1, 2): -1})
+    by_keyword = BasicCoefficients(
+        beta={(1, 2): -1}, alpha={2: 2}, tau=None, gamma=None, eta={(0, 1): Fraction(3, 3)}
+    )
+    assert by_position == by_keyword
+    assert (by_position.eta, by_position.tau, by_position.alpha) == ({(0, 1): 1}, {}, {2: 2})
+    assert type(by_position.alpha[2]) is int and type(by_keyword.eta[(0, 1)]) is int
+    assert BasicCoefficients() == BasicCoefficients(None, None, None, None, None)
+    assert BasicCoefficients(alpha={1: 0, 2: Fraction(0, 5)}) == BasicCoefficients()
+    assert BasicCoefficients(alpha={1: 1}) != BasicCoefficients(gamma={1: 1})
+    with pytest.raises(TypeError):
+        BasicCoefficients({}, {}, {}, {}, {}, {})
+    with pytest.raises(TypeError):
+        BasicCoefficients(delta={1: 1})
+
+
+def test_basic_coefficients_keep_the_dataclass_api():
+    coeffs = BasicCoefficients(alpha={1: Fraction(1, 2), 2: 0}, beta={(1, 2): 3})
+    assert repr(coeffs) == (
+        "BasicCoefficients(eta={}, tau={}, alpha={1: Fraction(1, 2)}, beta={(1, 2): 3}, gamma={})"
+    )
+    assert [f.name for f in dataclasses.fields(BasicCoefficients)] == [
+        "eta", "tau", "alpha", "beta", "gamma"
+    ]
+    changed = dataclasses.replace(coeffs, gamma={1: Fraction(6, 3)}, alpha={})
+    assert changed == BasicCoefficients(beta={(1, 2): 3}, gamma={1: 2})
+    assert type(changed.gamma[1]) is int and coeffs.gamma == {}
+    for name in ("eta", "alpha", "gamma"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(coeffs, name, {})
+    with pytest.raises(TypeError):
+        hash(coeffs)  # frozen with dict fields, as before
+
+
+def test_basic_coefficients_refuse_a_bool_and_copy_what_they_are_given():
+    with pytest.raises(TypeError, match="bool is not a scalar"):
+        BasicCoefficients(alpha={1: True})
+    with pytest.raises(TypeError, match="bool is not a scalar"):
+        BasicCoefficients(beta={(1, 2): False})
+    given = {1: Fraction(1, 3)}
+    coeffs = BasicCoefficients(alpha=given)
+    given[1] = 5
+    given[2] = 1
+    assert coeffs.alpha == {1: Fraction(1, 3)}
 
 
 def test_extension_cocycle_matches_central_extension_column():
